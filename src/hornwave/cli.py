@@ -37,6 +37,8 @@ from .solver import SolverConfig, residual, solve
 
 _FIELD_ORDER = ("q0", "q1", "qpt", "qnum")
 _ALLOWED_OUTPUTS = _FIELD_ORDER + ("invariant",)
+# headroom on the factor-ODE table beyond the lambda range the patch needs
+_LAMBDA_PAD = 1.01
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,8 @@ def read_initial_table(path, column="qnum", periodic=True):
 
 def read_profile_file(path) -> TabulatedProfile:
     """Accepts either the plain two-column ``x S`` format or the CSV the
-    ``profile`` subcommand writes (columns x and area)."""
+    ``profile`` subcommand writes (columns x and area).  The first row is
+    a CSV header only when it does not parse as numbers."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"profile table {path} does not exist")
@@ -122,7 +125,9 @@ def read_profile_file(path) -> TabulatedProfile:
         if line.strip() and not line.lstrip().startswith("#"):
             first = line
             break
-    if any(ch.isalpha() for ch in first):
+    try:
+        np.array(first.split(), dtype=float)
+    except ValueError:
         cols = read_field_table(path)
         for need in ("x", "area"):
             if need not in cols:
@@ -146,7 +151,6 @@ class InvariantSpec:
     route: str
     zeta: tuple
     grid: TauGrid
-    lambda_pad: float = 1.01
 
 
 @dataclass(frozen=True)
@@ -292,6 +296,9 @@ def _build_invariant(cp, params) -> InvariantSpec | None:
     count = _need(cp, "invariant", "zeta_count", int)
     if count < 1 or stop < start:
         raise ConfigError("[invariant] zeta range must be non-empty and ordered")
+    if count > 1 and stop == start:
+        raise ConfigError(
+            f"[invariant] zeta_count = {count} needs zeta_stop > zeta_start")
     zeta = tuple(np.linspace(start, stop, count))
 
     n = _opt(cp, "invariant", "grid_n", 256, int)
@@ -493,8 +500,8 @@ def run_invariant(config: RunConfig):
             lam_lo = min(lam_lo, float(np.min(lam)))
             lam_hi = max(lam_hi, float(np.max(lam)))
         table = integrate_factor_ode(
-            spec.config, max(lam_hi, 1e-6) * spec.lambda_pad,
-            lambda_min=min(lam_lo, 0.0) * spec.lambda_pad)
+            spec.config, max(lam_hi, 1e-6) * _LAMBDA_PAD,
+            lambda_min=min(lam_lo, 0.0) * _LAMBDA_PAD)
 
     fields = [assemble_invariant_q(spec.config, z, spec.grid, table)
               for z in spec.zeta]
@@ -511,19 +518,9 @@ def run_invariant(config: RunConfig):
     defect = None
     if len(spec.zeta) >= 3:
         defect = residual(fields, np.asarray(spec.zeta), spec.config.params,
-                          _DuctFromBetas(betas), spec.grid)
+                          BetaFamilyProfile(*betas, zeta_cap=spec.zeta[-1]),
+                          spec.grid)
     return written, defect
-
-
-class _DuctFromBetas:
-    """Just enough duct for the residual check: mu(zeta) = nu exp(d)."""
-
-    def __init__(self, betas):
-        self.betas = tuple(betas)
-
-    def mu_of_zeta(self, nu, zeta):
-        from .profiles import d_of_zeta
-        return nu * np.exp(d_of_zeta(self.betas, zeta))
 
 
 def run_profile(config: RunConfig):

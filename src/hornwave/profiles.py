@@ -19,36 +19,27 @@ construction so instances can be shared between threads read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from ._quadrature import adaptive_quad
-from .errors import ConfigError, DomainError, SingularProfileError
+from .errors import (ConfigError, DomainError, QuadratureError,
+                     SingularProfileError)
 
 _ROUNDTRIP_TOL = 1e-10
+_MIDPOINT_TOL = 1e-13
 _CASE_BOUNDARY_TOL = 1e-12
-_TABLE_KNOTS = 513
+_BETA_PANELS = 32
+_MAX_SPLIT_ROUNDS = 60
+_MAX_PANELS = 1 << 16
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
-
-
-def _scalar_map(func, x):
-    """Apply a scalar function over x, preserving scalar/array shape."""
-    arr, scalar = _as_float_array(x)
-    if scalar:
-        return func(float(arr))
-    out = np.empty(arr.shape)
-    flat = arr.ravel()
-    out_flat = out.ravel()
-    for i in range(flat.size):
-        out_flat[i] = func(float(flat[i]))
-    return out
 
 
 def _check_range(x, lo, hi, what, hi_inclusive=True):
@@ -58,6 +49,33 @@ def _check_range(x, lo, hi, what, hi_inclusive=True):
         raise DomainError(
             f"{what} = {float(np.atleast_1d(bad)[0]):g} outside "
             f"[{lo:g}, {hi:g}{']' if hi_inclusive else ')'}")
+
+
+def _rel_err(got, want):
+    return np.abs(got - want) / (1.0 + np.abs(want))
+
+
+def _map_err(there, back, arg, want):
+    """Error of ``there(arg)`` against ``want``: forward, or backward (how
+    far ``back`` carries it from ``arg``), whichever is smaller; a steep
+    map's forward error is its input's rounding times the slope."""
+    got = there(arg)
+    return np.fmin(_rel_err(got, want), _rel_err(back(got), arg))
+
+
+def _panels(rate, lo, hi, rate_lo):
+    """Rows lo, mid, hi, rate(lo) and the fixed-order Gauss-Legendre
+    increments of the two halves of each panel [lo, hi]."""
+    mid = 0.5 * (lo + hi)
+    a, b = np.stack([lo, mid]), np.stack([mid, hi])
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[..., None] + half[..., None] * _GAUSS_NODES
+    return np.vstack([lo, mid, hi, rate_lo, half * (rate(nodes) @ _GAUSS_WEIGHTS)])
+
+
+def _clamped(spline):
+    """``spline`` held at its last knot beyond it (a stalled table end)."""
+    return lambda v: spline(np.minimum(v, spline.x[-1]))
 
 
 class Profile:
@@ -275,13 +293,93 @@ class PowerLawProfile(Profile):
         return out if np.ndim(zeta) else float(out)
 
 
+class _TableMapProfile(Profile):
+    """Profile whose coordinate map is one table built at construction.
+
+    A subclass knows the rate of one direction exactly (dzeta/dx =
+    1/sqrt(S) for measured ducts, dx/dzeta = exp(d) for the classified
+    family) and calls :meth:`_tabulate_map` from ``__post_init__``.  Each
+    panel's increment comes from a fixed-order Gauss-Legendre rule; one
+    cubic Hermite spline per direction, with the exact rate (or its
+    reciprocal) as the slope, then answers every query.  A panel is
+    halved until both splines reproduce its midpoint, the inverse one
+    forward or backward (see :func:`_map_err`), and the round trip must
+    hold to ``_ROUNDTRIP_TOL`` before the profile exists; a table that
+    cannot get there raises QuadratureError.  Queries outside [0, x_max]
+    or [0, zeta_max] raise DomainError, so the splines never extrapolate.
+    """
+
+    def _tabulate_map(self, knots, rate, *, from_x):
+        """Integrate ``rate`` from 0 over panels starting at ``knots``: x
+        knots and dzeta/dx if ``from_x``, else zeta knots and dx/dzeta."""
+        s = np.asarray(knots, dtype=float)
+        rate_end = rate(s[-1:])
+        panels = _panels(rate, s[:-1], s[1:], rate(s[:-1]))
+        for _ in range(_MAX_SPLIT_ROUNDS):
+            lo, mid, hi, slope_lo, left, right = panels
+            s, slope = np.append(lo, hi[-1]), np.append(slope_lo, rate_end)
+            t = np.concatenate(([0.0], np.cumsum(left + right)))
+            # A rate that decays to nothing stalls t within rounding of its
+            # end value; the inverse table stops at the first such knot.
+            t_end = float(t[-1])
+            end = int(np.searchsorted(t, t_end - 0.5 * _MIDPOINT_TOL * (1.0 + t_end))) + 1
+            if not (np.isfinite(t_end) and np.all(np.diff(t[:end]) > 0.0)
+                    and np.all(slope[:end] > 0.0)
+                    and np.all((slope >= 0.0) & (slope < np.inf))):
+                raise QuadratureError(
+                    f"coordinate rate is not finite and positive on [0, {s[-1]:g}]")
+            forward = CubicHermiteSpline(s, t, slope)
+            inverse = _clamped(CubicHermiteSpline(t[:end], s[:end],
+                                                  1.0 / slope[:end]))
+            t_mid = t[:-1] + left
+            missed = np.maximum(_rel_err(forward(mid), t_mid),
+                                _map_err(inverse, forward, t_mid, mid)) > _MIDPOINT_TOL
+            if (not missed.any() or mid.size + missed.sum() > _MAX_PANELS
+                    or np.any((mid[missed] <= lo[missed]) | (mid[missed] >= hi[missed]))):
+                break
+            # halve the missed panels; the others keep their increments
+            lo, mid, hi = panels[:3, missed]
+            panels = np.concatenate([panels[:, ~missed],
+                                     _panels(rate, lo, mid, panels[3, missed]),
+                                     _panels(rate, mid, hi, rate(mid))], axis=1)
+            panels = panels[:, np.argsort(panels[0])]
+        lo, hi = s[:-1], s[1:]
+        quarter = np.array([[0.25], [0.75]])
+        s_probe = (lo + quarter * (hi - lo)).ravel()
+        t_probe = (t[:-1] + quarter * np.diff(t)).ravel()
+        worst = max(_map_err(inverse, forward, forward(s_probe), s_probe).max(),
+                    _map_err(forward, inverse, inverse(t_probe), t_probe).max())
+        if missed.any() or not worst <= _ROUNDTRIP_TOL:
+            raise QuadratureError(
+                f"coordinate table round trip {worst:.3e} misses {_ROUNDTRIP_TOL:.1e}"
+                f" ({int(missed.sum())} of {mid.size} panels unresolved)",
+                achieved=worst, target=_ROUNDTRIP_TOL)
+        if not from_x:
+            forward, inverse, s, t = inverse, forward, t, s
+        object.__setattr__(self, "_zeta_spline", forward)
+        object.__setattr__(self, "_x_spline", inverse)
+        object.__setattr__(self, "x_max", float(s[-1]))
+        object.__setattr__(self, "zeta_max", float(t[-1]))
+
+    # Clipped at the far end: a spline can land an ulp beyond it, which
+    # the next map back would reject.
+    def zeta_of_x(self, x):
+        _check_range(x, 0.0, self.x_max, "x")
+        out = np.minimum(self._zeta_spline(x), self.zeta_max)
+        return out if np.ndim(x) else float(out)
+
+    def x_of_zeta(self, zeta):
+        _check_range(zeta, 0.0, self.zeta_max, "zeta")
+        out = np.minimum(self._x_spline(zeta), self.x_max)
+        return out if np.ndim(zeta) else float(out)
+
+
 @dataclass(frozen=True)
-class BetaFamilyProfile(Profile):
+class BetaFamilyProfile(_TableMapProfile):
     """Duct defined in the stretched coordinate by mu/nu = exp(d(zeta)).
 
-    The map back to x comes from dx = sqrt(S) dzeta = exp(d) dzeta and is
-    tabulated once at construction; both directions then agree to the
-    round-trip tolerance by bracketed refinement on the same table.
+    The map back to x comes from dx = sqrt(S) dzeta = exp(d) dzeta,
+    tabulated once at construction from a uniform zeta mesh.
     """
 
     beta0: float
@@ -299,45 +397,13 @@ class BetaFamilyProfile(Profile):
         root = _first_positive_root(self.beta0, self.beta1, self.beta2)
         if cap is None:
             cap = root * (1.0 - 1e-9) if root is not None else 32.0
+        elif not cap > 0.0:
+            raise ConfigError(f"zeta_cap must be positive, got {cap:g}")
         elif root is not None and cap >= root:
             raise ConfigError(
                 f"zeta_cap {cap:g} reaches the singular point b(zeta)=0 at {root:g}")
-        object.__setattr__(self, "zeta_max", cap)
-        knots = np.linspace(0.0, cap, _TABLE_KNOTS)
-        xs = np.empty_like(knots)
-        xs[0] = 0.0
-        for i in range(1, knots.size):
-            xs[i] = xs[i - 1] + adaptive_quad(
-                lambda z: math.exp(d_of_zeta(betas, z)),
-                knots[i - 1], knots[i], rtol=1e-12)
-        object.__setattr__(self, "_zeta_knots", knots)
-        object.__setattr__(self, "_x_knots", xs)
-        object.__setattr__(self, "x_max", float(xs[-1]))
-
-    def _x_of_zeta_scalar(self, z):
-        _check_range(z, 0.0, self.zeta_max, "zeta")
-        knots = self._zeta_knots
-        j = int(np.searchsorted(knots, z, side="right")) - 1
-        j = min(max(j, 0), knots.size - 1)
-        return self._x_knots[j] + adaptive_quad(
-            lambda y: math.exp(d_of_zeta(self.betas, y)), knots[j], z, rtol=1e-12)
-
-    def x_of_zeta(self, zeta):
-        return _scalar_map(self._x_of_zeta_scalar, zeta)
-
-    def _zeta_of_x_scalar(self, x):
-        _check_range(x, 0.0, self.x_max, "x")
-        xs = self._x_knots
-        if x == 0.0:
-            return 0.0
-        i = int(np.searchsorted(xs, x))
-        i = min(max(i, 1), xs.size - 1)
-        lo, hi = self._zeta_knots[i - 1], self._zeta_knots[i]
-        return brentq(lambda z: self._x_of_zeta_scalar(z) - x, lo, hi,
-                      xtol=1e-14, rtol=8.9e-16)
-
-    def zeta_of_x(self, x):
-        return _scalar_map(self._zeta_of_x_scalar, x)
+        self._tabulate_map(np.linspace(0.0, cap, _BETA_PANELS + 1),
+                           lambda z: np.exp(d_of_zeta(betas, z)), from_x=False)
 
     def area(self, x):
         zeta = self.zeta_of_x(x)
@@ -361,7 +427,7 @@ class BetaFamilyProfile(Profile):
 
 
 @dataclass(frozen=True)
-class TabulatedProfile(Profile):
+class TabulatedProfile(_TableMapProfile):
     """Profile interpolated from measured (x, S) samples.
 
     Uses shape-preserving monotone cubic interpolation between samples, so
@@ -389,15 +455,7 @@ class TabulatedProfile(Profile):
         interp = PchipInterpolator(x, s, extrapolate=False)
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_dinterp", interp.derivative())
-        object.__setattr__(self, "x_max", float(x[-1]))
-        zknots = np.empty_like(x)
-        zknots[0] = 0.0
-        for i in range(1, x.size):
-            zknots[i] = zknots[i - 1] + adaptive_quad(
-                lambda t: 1.0 / math.sqrt(float(interp(t))),
-                x[i - 1], x[i], rtol=1e-12)
-        object.__setattr__(self, "_zeta_knots", zknots)
-        object.__setattr__(self, "zeta_max", float(zknots[-1]))
+        self._tabulate_map(x, lambda t: 1.0 / np.sqrt(interp(t)), from_x=True)
 
     def area(self, x):
         _check_range(x, 0.0, self.x_max, "x")
@@ -408,35 +466,6 @@ class TabulatedProfile(Profile):
         _check_range(x, 0.0, self.x_max, "x")
         out = self._dinterp(x)
         return out if np.ndim(x) else float(out)
-
-    def _zeta_of_x_scalar(self, x):
-        _check_range(x, 0.0, self.x_max, "x")
-        xs = self.x_samples
-        i = int(np.searchsorted(xs, x))
-        i = min(max(i, 1), xs.size - 1)
-        j = i - 1
-        return self._zeta_knots[j] + adaptive_quad(
-            lambda t: 1.0 / math.sqrt(float(self._interp(t))),
-            xs[j], x, rtol=1e-12)
-
-    def zeta_of_x(self, x):
-        return _scalar_map(self._zeta_of_x_scalar, x)
-
-    def _x_of_zeta_scalar(self, z):
-        _check_range(z, 0.0, self.zeta_max, "zeta")
-        zk = self._zeta_knots
-        if z == 0.0:
-            return 0.0
-        if z == zk[-1]:
-            return float(self.x_samples[-1])
-        i = int(np.searchsorted(zk, z))
-        i = min(max(i, 1), zk.size - 1)
-        lo, hi = self.x_samples[i - 1], self.x_samples[i]
-        return brentq(lambda x: self._zeta_of_x_scalar(x) - z, lo, hi,
-                      xtol=1e-14, rtol=8.9e-16)
-
-    def x_of_zeta(self, zeta):
-        return _scalar_map(self._x_of_zeta_scalar, zeta)
 
 
 def load_profile_table(path) -> TabulatedProfile:
@@ -486,19 +515,6 @@ def _check_no_root(betas, zmax):
             f"b(zeta) vanishes at zeta = {r:g} inside [0, {zmax:g}]")
 
 
-def _stable_sqrt_disc_terms(b0, b1, b2, s):
-    """(s - b1, s + b1) for s = sqrt(b1^2 - 4 b0 b2), avoiding cancellation."""
-    if b1 > 0:
-        minus = -4.0 * b0 * b2 / (s + b1)
-        plus = s + b1
-    elif b1 < 0:
-        minus = s - b1
-        plus = -4.0 * b0 * b2 / (s - b1)
-    else:
-        minus = plus = s
-    return minus, plus
-
-
 def d_of_zeta(betas, zeta, *, boundary_tol=_CASE_BOUNDARY_TOL):
     """Classified absorption exponent d(zeta) = M * integral_0^zeta dy/b(y).
 
@@ -514,37 +530,36 @@ def d_of_zeta(betas, zeta, *, boundary_tol=_CASE_BOUNDARY_TOL):
         raise DomainError("zeta must be nonnegative")
     zmax = float(zarr.max()) if zarr.size else 0.0
     _check_no_root(betas, zmax)
+    disc = b1 * b1 - 4.0 * b0 * b2
     if m == 0.0:
         out = np.zeros(zarr.shape)
-        return 0.0 if scalar else out
-
-    if b2 == 0.0:
-        if b1 == 0.0:
-            out = m * zarr / b0
-        else:
-            # log first: m/b1 alone can overflow for subnormal b1
-            out = m * (np.log1p(b1 * zarr / b0) / b1)
-        return float(out) if scalar else out
-
-    disc = b1 * b1 - 4.0 * b0 * b2
-    scale = max(1.0, b1 * b1, abs(4.0 * b0 * b2))
-    if disc == 0.0:
+    elif b2 == 0.0 and b1 == 0.0:
+        out = m * zarr / b0
+    elif b2 == 0.0:
+        # log first: m/b1 alone can overflow for subnormal b1
+        out = m * (np.log1p(b1 * zarr / b0) / b1)
+    elif disc == 0.0:
         out = 2.0 * m * zarr / (2.0 * b0 + b1 * zarr)
-        return float(out) if scalar else out
-    if abs(disc) <= boundary_tol * scale:
-        def _quad_one(z):
-            return m * adaptive_quad(
-                lambda y: 1.0 / (b0 + y * (b1 + b2 * y)), 0.0, z, rtol=1e-12)
-        return _scalar_map(_quad_one, zeta)
-    if disc < 0.0:
+    elif abs(disc) <= boundary_tol * max(1.0, b1 * b1, abs(4.0 * b0 * b2)):
+        # one quadrature per gap between the sorted points, then a running sum
+        zs, where = np.unique(zarr.ravel(), return_inverse=True)
+        edges = np.concatenate(([0.0], zs))
+        gaps = [adaptive_quad(lambda y: 1.0 / (b0 + y * (b1 + b2 * y)),
+                              lo, hi, rtol=1e-12)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        out = m * np.cumsum(gaps)[where].reshape(zarr.shape)
+    elif disc < 0.0:
         s = math.sqrt(-disc)
         out = (2.0 * m / s) * (np.arctan((b1 + 2.0 * b2 * zarr) / s)
                                - math.atan(b1 / s))
-        return float(out) if scalar else out
-    s = math.sqrt(disc)
-    minus, plus = _stable_sqrt_disc_terms(b0, b1, b2, s)
-    ratio = ((minus - 2.0 * b2 * zarr) * plus) / ((plus + 2.0 * b2 * zarr) * minus)
-    out = (m / s) * np.log(ratio)
+    else:
+        # b = b0 (1 - y/r1)(1 - y/r2) with the roots r1 = q/b2, r2 = b0/q in
+        # the two-product form of _first_positive_root; one log1p per root
+        # keeps full precision when b2 is tiny or subnormal
+        s = math.sqrt(disc)
+        q = -0.5 * (b1 + math.copysign(s, b1))
+        out = (m * math.copysign(1.0, b1) / s) * (np.log1p(-zarr * (q / b0))
+                                                  - np.log1p(-zarr * (b2 / q)))
     return float(out) if scalar else out
 
 

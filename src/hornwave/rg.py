@@ -60,7 +60,6 @@ class RGSolution:
     q0: Optional[np.ndarray] = None
     q1: Optional[np.ndarray] = None
     qpt: Optional[np.ndarray] = None
-    log_ok: bool = True     # constructed solutions always have valid logs
 
 
 def _log_argument_or_raise(arg, x, grid, label):

@@ -192,7 +192,7 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
 
 def residual(fields, zetas, params: PhysParams, profile: Profile,
              grid: TauGrid, *, form="q"):
-    """Max-norm equation defect of a uniformly spaced station sequence.
+    """Max-norm equation defect over increasing, uniformly spaced stations.
 
     Central differences along the march, spectral tau derivatives on
     periodic grids and central differences on windowed ones; only
@@ -202,9 +202,11 @@ def residual(fields, zetas, params: PhysParams, profile: Profile,
     if zetas.size < 3:
         raise SpacingError("need at least three stations")
     dz = np.diff(zetas)
-    if np.max(np.abs(dz - dz[0])) > 1e-9 * abs(dz[0]):
-        raise SpacingError("stations are not uniformly spaced")
     step = dz[0]
+    if not step > 0.0:
+        raise SpacingError(f"station step {step:g} must be positive")
+    if np.max(np.abs(dz - step)) > 1e-9 * step:
+        raise SpacingError("stations are not uniformly spaced")
 
     stack = np.asarray(fields, dtype=float)
     if stack.shape != (zetas.size, grid.n):

@@ -199,12 +199,14 @@ out = {tmp_path / 'p'}
         np.testing.assert_allclose(duct.area(xs), (1.0 + 0.5 * xs) ** 2,
                                    rtol=1e-7)
 
-    def test_plain_two_column_profile_accepted(self, tmp_path):
+    # %.18e is np.savetxt's default; its exponent letter is not a header
+    @pytest.mark.parametrize("fmt", ["%.12g", "%.18e"],
+                             ids=["short", "savetxt-default"])
+    def test_plain_two_column_profile_accepted(self, tmp_path, fmt):
         xs = np.linspace(0.0, 2.0, 41)
         table = tmp_path / "duct.dat"
-        lines = ["# test duct"] + [f"{x:.12g} {np.exp(0.3 * x):.12g}"
-                                   for x in xs]
-        table.write_text("\n".join(lines) + "\n")
+        np.savetxt(table, np.column_stack([xs, np.exp(0.3 * xs)]), fmt=fmt,
+                   header="test duct")
         duct = read_profile_file(table)
         np.testing.assert_allclose(duct.area(1.0), np.exp(0.3), rtol=1e-6)
 
@@ -317,6 +319,27 @@ out = {tmp_path / 'inv'}
 """)
         assert main(["invariant", "--config", str(path)]) == 2
         assert "constant-flare" in capsys.readouterr().err
+
+    def test_invariant_zero_width_zeta_range(self, tmp_path, capsys):
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[invariant]
+beta0 = 1.0
+beta1 = 1.0
+beta2 = 0.0
+m = -1.0
+route = orbit
+c0 = -0.1
+zeta_start = 0.2
+zeta_stop = 0.2
+zeta_count = 4
+[run]
+stations = 1.0
+out = {tmp_path / 'inv'}
+""")
+        assert main(["invariant", "--config", str(path)]) == 2
+        assert "zeta_stop > zeta_start" in capsys.readouterr().err
 
     def test_invariant_ode_route(self, tmp_path):
         path = write_config(tmp_path, f"""

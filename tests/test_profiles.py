@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from hornwave import profiles as P
 from hornwave._quadrature import adaptive_quad
-from hornwave.errors import ConfigError, DomainError, SingularProfileError
+from hornwave.errors import (ConfigError, DomainError, QuadratureError,
+                             SingularProfileError)
 
 
 def quad_d(betas, zeta):
@@ -21,6 +22,31 @@ def quad_d(betas, zeta):
     b0, b1, b2, m = betas
     return m * adaptive_quad(lambda y: 1.0 / (b0 + y * (b1 + b2 * y)),
                              0.0, zeta, rtol=1e-13)
+
+
+def quad_zeta_of_x(prof, x):
+    """Independent oracle: 1/sqrt(S) integrated sample interval by interval."""
+    edges = np.append(prof.x_samples[prof.x_samples < x], x)
+    return sum(adaptive_quad(lambda t: 1.0 / math.sqrt(prof.area(t)),
+                             lo, hi, rtol=1e-12)
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def quad_x_of_zeta(betas, zeta):
+    """Independent oracle: exp(d) integrated from the throat."""
+    return adaptive_quad(lambda y: math.exp(P.d_of_zeta(betas, y)),
+                         0.0, zeta, rtol=1e-12)
+
+
+def rippled_duct():
+    xs = np.linspace(0.0, 4.0, 33)
+    return P.TabulatedProfile(xs, np.exp(-0.2 * xs + 0.03 * np.sin(2.5 * xs)))
+
+
+NEAR_CAP = (1.0, -2.5, 1.0, 1.0)   # b vanishes at zeta = 0.5
+DECAYING = (1.0, 0.0, 0.0, -0.5)   # exp(d) = exp(-zeta/2), 1e-7 at the cap
+DECAYING_NEAR_CAP = (1.0, -2.5, 1.0, -1.0)
+BAND = (2.0, 2.0, 0.5 * (1.0 + 1e-13), 1.0)   # inside the degenerate band
 
 
 class TestArea:
@@ -71,6 +97,10 @@ class TestCoordinateMap:
         P.PowerLawProfile(2.0, -0.5, 1.5),
         P.BetaFamilyProfile(1.0, 0.5, 0.25, 0.8),
         P.BetaFamilyProfile(1.0, 0.1, 0.0, -0.1),
+        rippled_duct(),
+        P.BetaFamilyProfile(*NEAR_CAP),
+        P.BetaFamilyProfile(*DECAYING),
+        P.BetaFamilyProfile(*DECAYING_NEAR_CAP),
     ])
     def test_round_trip(self, prof):
         hi = min(prof.x_max * 0.8 if math.isfinite(prof.x_max) else 3.0, 3.0)
@@ -96,6 +126,114 @@ class TestCoordinateMap:
         h = 1e-6
         fd = (prof.zeta_of_x(x + h) - prof.zeta_of_x(x - h)) / (2 * h)
         assert fd == pytest.approx(1.0 / math.sqrt(prof.area(x)), rel=1e-9)
+
+
+class TestTableMap:
+    """Table-backed maps of measured and classified ducts against
+    per-point quadrature."""
+
+    def test_tabulated_against_quadrature(self):
+        prof = rippled_duct()
+        xs = np.linspace(0.0, 0.99 * prof.x_max, 23)
+        ref = np.array([quad_zeta_of_x(prof, x) for x in xs])
+        assert np.max(np.abs(prof.zeta_of_x(xs) - ref)) <= 1e-11
+        assert np.max(np.abs(prof.x_of_zeta(ref) - xs)) <= 1e-11
+
+    @pytest.mark.parametrize("betas,hi", [
+        ((1.0, 0.5, 0.25, 0.8), 3.0),
+        ((1.0, 0.1, 0.0, -0.1), 3.0),
+        (NEAR_CAP, 0.49999),
+        (DECAYING, 6.0),
+        (DECAYING_NEAR_CAP, 0.49),
+    ])
+    def test_beta_family_against_quadrature(self, betas, hi):
+        prof = P.BetaFamilyProfile(*betas)
+        zs = np.linspace(0.0, hi, 23)
+        ref = np.array([quad_x_of_zeta(betas, z) for z in zs])
+        assert np.max(np.abs(prof.x_of_zeta(zs) - ref)) <= 1e-11
+        assert np.max(np.abs(prof.zeta_of_x(ref) - zs)) <= 1e-11
+
+    @pytest.mark.parametrize("prof", [rippled_duct(), P.BetaFamilyProfile(*NEAR_CAP)])
+    def test_domain_ends(self, prof):
+        assert prof.x_of_zeta(0.0) == 0.0 and prof.zeta_of_x(0.0) == 0.0
+        assert isinstance(prof.zeta_of_x(0.5 * prof.x_max), float)
+        # each far end maps inside the other domain, so chained maps work
+        assert prof.x_of_zeta(prof.zeta_of_x(prof.x_max)) == pytest.approx(
+            prof.x_max, abs=1e-12)
+        assert prof.zeta_of_x(prof.x_of_zeta(prof.zeta_max)) == pytest.approx(
+            prof.zeta_max, abs=1e-12)
+        for beyond in (-1e-12, prof.x_max * (1.0 + 1e-12)):
+            with pytest.raises(DomainError):
+                prof.zeta_of_x(beyond)
+        for beyond in (-1e-12, prof.zeta_max * (1.0 + 1e-12)):
+            with pytest.raises(DomainError):
+                prof.x_of_zeta(beyond)
+
+    def test_decaying_duct_to_its_cap(self):
+        # zeta_of_x is steep where exp(d) is small: near the cap the rounding
+        # of x alone moves zeta by ulp(2) / 1e-7, so the inverse is held to
+        # its backward error, the distance x_of_zeta carries it
+        prof = P.BetaFamilyProfile(*DECAYING)
+        assert prof.zeta_max == 32.0
+        zs = np.linspace(0.0, 32.0, 201)
+        xs = prof.x_of_zeta(zs)
+        assert np.max(np.abs(xs - 2.0 * -np.expm1(-0.5 * zs))) <= 1e-12
+        assert np.max(np.abs(prof.x_of_zeta(prof.zeta_of_x(xs)) - xs)) <= 1e-12
+
+    def test_stalled_duct_keeps_its_cap(self):
+        # exp(-5 zeta) drops below the rounding of x = 0.2 long before the
+        # cap: zeta_of_x answers the first zeta where x is within 1e-13 of
+        # its end, and the whole range of x stays mapped
+        prof = P.BetaFamilyProfile(1.0, 0.0, 0.0, -5.0)
+        assert prof.zeta_max == 32.0
+        assert prof.x_max == pytest.approx(0.2, abs=1e-15)
+        z_end = prof.zeta_of_x(prof.x_max)
+        assert 5.0 < z_end < 32.0
+        assert prof.x_of_zeta(z_end) == pytest.approx(prof.x_max, abs=1e-13)
+        zs = prof.zeta_of_x(np.linspace(0.0, prof.x_max, 301))
+        assert np.all(np.diff(zs) > 0)
+
+    def test_band_duct_integrates_each_gap_once(self, monkeypatch):
+        evals = [0]
+
+        def counting(func, a, b, **kw):
+            def counted(y):
+                evals[0] += 1
+                return func(y)
+            return adaptive_quad(counted, a, b, **kw)
+
+        monkeypatch.setattr(P, "adaptive_quad", counting)
+        zs = np.linspace(0.0, 32.0, 401)
+        d = P.d_of_zeta(BAND, zs)
+        # one 21-point Gauss-Kronrod pass per gap between sorted points;
+        # integrating each point from 0 takes over 100 evaluations a point
+        assert evals[0] <= 2 * 21 * zs.size
+        for i in range(0, zs.size, 50):
+            assert d[i] == pytest.approx(quad_d(BAND, zs[i]), rel=1e-10)
+        prof = P.BetaFamilyProfile(*BAND, zeta_cap=0.5)
+        z = np.linspace(0.0, 0.5, 7)
+        ref = np.array([quad_x_of_zeta(BAND, v) for v in z])
+        assert np.max(np.abs(prof.x_of_zeta(z) - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("make", [
+        rippled_duct, lambda: P.BetaFamilyProfile(1.0, 0.5, 0.25, 0.8)])
+    def test_unreachable_round_trip_raises(self, make, monkeypatch):
+        monkeypatch.setattr(P, "_ROUNDTRIP_TOL", 0.0)
+        with pytest.raises(QuadratureError):
+            make()
+
+    def test_unresolvable_table_raises(self, monkeypatch):
+        # no panel can meet a zero midpoint tolerance: the split stops at
+        # the panel ceiling instead of growing without bound
+        monkeypatch.setattr(P, "_MIDPOINT_TOL", 0.0)
+        monkeypatch.setattr(P, "_MAX_PANELS", 1024)
+        with pytest.raises(QuadratureError, match="unresolved"):
+            P.BetaFamilyProfile(*DECAYING)
+
+    def test_overflowing_map_raises(self):
+        # exp(d) = exp(25 zeta) overflows long before the default cap of 32
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError):
+            P.BetaFamilyProfile(1.0, 0.0, 0.0, 25.0)
 
 
 class TestMu:
@@ -136,6 +274,7 @@ class TestDOfZeta:
         (2.0, 2.0, 0.5, 1.0),    # discriminant = 0 exactly
         (1.0, -1.0, 2.0, 0.4),   # discriminant < 0, falling b1
         (3.0, 0.0, 0.0, 2.0),    # constant b
+        (1.0, 1.5, 5e-324, 1.0), # subnormal beta2, discriminant > 0
     ])
     def test_closed_forms_against_quadrature(self, betas):
         for z in [0.3, 0.8, 1.7]:
@@ -188,6 +327,8 @@ class TestBetaFamilyProfile:
         assert bf.zeta_max < 0.5
         with pytest.raises(ConfigError):
             P.BetaFamilyProfile(1.0, -2.5, 1.0, 1.0, zeta_cap=0.6)
+        with pytest.raises(ConfigError):
+            P.BetaFamilyProfile(1.0, -2.5, 1.0, 1.0, zeta_cap=0.0)
 
 
 class TestTabulatedProfile:

@@ -149,7 +149,6 @@ class TestEvaluateStation:
                                fields=("qpt",))
         assert sol.q0 is None and sol.q1 is None
         assert sol.qpt is not None
-        assert sol.log_ok
 
     def test_shared_kernel_consistency(self):
         params = PhysParams(1.0, 1.0)

@@ -145,6 +145,12 @@ class TestResidual:
         with pytest.raises(SpacingError):
             residual(fields, [0.0, 0.1, 0.25], PhysParams(1.0, 1.0), CHANNEL, g)
 
+    def test_zero_step_rejected(self):
+        g = TauGrid.periodic_default(32)
+        with pytest.raises(SpacingError):
+            residual([np.zeros(g.n)] * 3, [0.2, 0.2, 0.2],
+                     PhysParams(1.0, 1.0), CHANNEL, g)
+
     def test_too_few_stations_rejected(self):
         g = TauGrid.periodic_default(32)
         with pytest.raises(SpacingError):
