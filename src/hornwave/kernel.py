@@ -12,8 +12,8 @@ Bessel series valid for a pure harmonic.  Tests compare them against each
 other; production code may use either.
 
 Derivatives of K in the amplitude parameter a come from the same
-convolution with W/nu and (W/nu)^2 weights, so the a -> 0 limits needed by
-the perturbative solution are the generic code path, not a special case.
+convolution with W/nu and (W/nu)^2 weights.  At a = 0 they reduce to heat
+propagation, which the perturbative solution takes from heat_propagate.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ _BESSEL_ARG_LIMIT = 700.0     # normalization needs e^z in range
 _RESCALE_THRESHOLD = 1e250
 _SERIES_TAIL_RTOL = 1e-14
 _SPECTRUM_TAIL_RTOL = 1e-12
+_MAX_REFINEMENTS = 8
 _WINDOW_MASS_LIMIT = 1e-10
 
 
@@ -301,8 +302,7 @@ def _check_params(a, nu, x):
         raise DomainError(f"station must be >= 0, got {x:g}")
 
 
-def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid,
-                      *, max_refinements=8):
+def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
     """Kernel field by direct convolution against the heat kernel.
 
     Periodic grids use the trapezoid sum in spectral form, refining the
@@ -321,7 +321,7 @@ def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid,
         need = (grid.period / math.pi) * math.sqrt(41.5 / (nu * x))
         while fine.n < need:
             fine = fine.refined(2)
-    for _ in range(max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         w = ic.sample(fine)
         e = np.exp((a / nu) * w)
         spec = np.abs(np.fft.rfft(e))

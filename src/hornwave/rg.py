@@ -17,7 +17,6 @@ perfectly regular.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +24,8 @@ import numpy as np
 
 from .errors import BreakdownError, DomainError, QuadratureError
 from .grid import TauGrid
-from .kernel import InitialCondition, KernelField, kernel_quadrature
+from .kernel import (InitialCondition, KernelField, heat_propagate,
+                     kernel_quadrature)
 from .profiles import Profile
 
 _QUAD_BASE_PANELS = 64
@@ -100,26 +100,20 @@ def first_order(params: PhysParams, profile: Profile, ic: InitialCondition,
                 x, grid: TauGrid, *, quad_rtol=1e-6,
                 outer_kernel: Optional[KernelField] = None):
     """Gradient-corrected field at station x."""
-    x = float(x)
+    x, nu = float(x), params.nu
     if outer_kernel is None:
-        outer_kernel = kernel_quadrature(ic, params.a, params.nu, x, grid)
+        outer_kernel = kernel_quadrature(ic, params.a, nu, x, grid)
     if params.a == 0.0:
-        return params.nu * outer_kernel.k_a   # correction is O(a^2)
-    mu = profile.mu(params.nu, x)
-    nu = params.nu
+        return nu * outer_kernel.k_a   # correction is O(a^2)
+    mu = profile.mu(nu, x)
 
-    cache = {}
+    def node_field(xp, mu_p):   # the station's own kernel serves x' = x
+        kf = outer_kernel if xp == x else kernel_quadrature(
+            ic, params.a, nu, xp, grid)
+        return _bracket(kf.k, mu_p / nu)
 
-    def field_spec(xp):
-        if xp not in cache:
-            kf = kernel_quadrature(ic, params.a, nu, xp, grid)
-            mu_p = profile.mu(nu, xp)
-            cache[xp] = np.fft.rfft(_bracket(kf.k, mu_p / nu))
-        return cache[xp]
-
-    correction = _convolved_path_integral(
-        profile.mu_x_over_mu, field_spec, x, grid, nu, rtol=quad_rtol)
-
+    correction = _convolved_path_integral(profile, node_field, x, grid, nu,
+                                          rtol=quad_rtol)
     combined = (nu / mu) * (outer_kernel.k - 1.0 - correction)
     _log_argument_or_raise(1.0 + combined, x, grid, "first-order")
     return (mu / params.a) * np.log1p(combined)
@@ -127,69 +121,74 @@ def first_order(params: PhysParams, profile: Profile, ic: InitialCondition,
 
 def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
                  x, grid: TauGrid, *, quad_rtol=1e-6):
-    """Small-amplitude expansion through O(a); no logarithms, no breakdown."""
-    x = float(x)
-    nu = params.nu
-    base = kernel_quadrature(ic, 0.0, nu, x, grid)
-    lead = nu * base.k_a
+    """Small-amplitude expansion through O(a); no logarithms, no breakdown.
+
+    It needs the kernel only at a = 0, where K = 1 and the a-derivatives
+    K_a, K_aa are heat propagation of W/nu and (W/nu)^2.  W is sampled on
+    the twice refined grid, so that its square does not alias, and both
+    are decimated back to the caller's grid.  Periodic grids only.
+    """
+    x, nu = float(x), params.nu
+    fine = grid.refined(2)
+    wn = ic.sample(fine) / nu
+
+    def k_a(xp):
+        return heat_propagate(wn, fine, nu, xp)[::2]
+
+    base_a = k_a(x)
     if params.a == 0.0:
-        return lead
-    mu = profile.mu(nu, x)
-
-    cache = {}
-
-    def field_spec(xp):
-        if xp not in cache:
-            kf = kernel_quadrature(ic, 0.0, nu, xp, grid)
-            cache[xp] = np.fft.rfft(kf.k_a * kf.k_a)
-        return cache[xp]
-
-    def weight(xp):
-        return profile.mu_x_over_mu(xp) * nu / profile.mu(nu, xp)
-
-    tail = _convolved_path_integral(weight, field_spec, x, grid, nu,
-                                    rtol=quad_rtol)
-    half = base.k_aa - (nu / mu) * base.k_a * base.k_a - tail
-    return lead + 0.5 * nu * params.a * half
+        return nu * base_a
+    base_aa = heat_propagate(wn * wn, fine, nu, x)[::2]
+    tail = _convolved_path_integral(
+        profile, lambda xp, mu_p: (nu / mu_p) * k_a(xp) ** 2, x, grid, nu,
+        rtol=quad_rtol)
+    half = base_aa - (nu / profile.mu(nu, x)) * base_a * base_a - tail
+    return nu * base_a + 0.5 * nu * params.a * half
 
 
-def _convolved_path_integral(weight, field_spec, x, grid: TauGrid, nu,
-                             *, rtol):
-    """integral_0^x w(x') [G(x - x') * f(x', .)](tau) dx' on the grid.
+def _convolved_path_integral(profile: Profile, node_field, x, grid: TauGrid,
+                             nu, *, rtol):
+    """integral_0^x (mu_x/mu)(x') [G(x - x') * f(x', .)](tau) dx' on the grid.
 
-    f enters as its rfft via field_spec(x'); the Gaussian acts as exact
-    spectral decay.  Composite Simpson on a mesh graded toward x' = x
-    (the decay factor steepens there for high modes), Richardson-checked
-    and extrapolated.
+    f comes from node_field(x', mu(x')); the Gaussian acts as exact spectral
+    decay.  Five uniform blocks grade the mesh toward x' = x, where the
+    decay steepens for high modes.  Each level halves every panel of the
+    trapezoid sum in place, T_{h/2} = T_h/2 + (h/2) sum f(new midpoints), so
+    each node is evaluated once and the profile is asked once per level.
+    Simpson, (4 T_{h/2} - T_h)/3, is Richardson-checked and extrapolated.
     """
     if x == 0.0:
         return np.zeros(grid.n)
     kappa2 = grid.wavenumbers() ** 2
-
     edges = np.array([0.0, 0.5, 0.75, 0.875, 0.9375, 1.0]) * x
+    widths = np.diff(edges)
 
-    def simpson(per_block):
+    def mesh(count):   # `count` panels a block, without the node x' = x
+        return (edges[:-1, None]
+                + np.arange(count) * (widths / count)[:, None]).ravel()
+
+    def node_sum(nodes, coeff):   # a running sum: no spectra are stacked
         total = np.zeros(kappa2.size, dtype=complex)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes = np.linspace(lo, hi, 2 * per_block + 1)
-            h = (hi - lo) / (2 * per_block)
-            coeff = np.ones(nodes.size)
-            coeff[1:-1:2] = 4.0
-            coeff[2:-1:2] = 2.0
-            for xp, c in zip(nodes, coeff):
-                total += (c * h / 3.0 * weight(xp)
-                          * field_spec(xp) * np.exp(-nu * kappa2 * (x - xp)))
+        weights = coeff * profile.mu_x_over_mu(nodes)
+        for xp, c, mu_p in zip(nodes, weights, profile.mu(nu, nodes)):
+            total += (c * np.fft.rfft(node_field(xp, mu_p))
+                      * np.exp(-nu * kappa2 * (x - xp)))
         return total
 
-    per_block = max(_QUAD_BASE_PANELS // (edges.size - 1), 4)
-    coarse = simpson(per_block)
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        per_block *= 2
-        fine = simpson(per_block)
-        err = np.max(np.abs(np.fft.irfft(fine - coarse, n=grid.n))) / 15.0
-        scale = max(np.max(np.abs(np.fft.irfft(fine, n=grid.n))), 1e-14)
-        if err <= rtol * scale:
-            return np.fft.irfft(fine + (fine - coarse) / 15.0, n=grid.n)
+    panels = max(_QUAD_BASE_PANELS // widths.size, 4)
+    h = np.repeat(widths / panels, panels)   # a node weighs half of each side
+    trap = node_sum(np.append(mesh(panels), x), np.convolve(h, [0.5, 0.5]))
+    coarse = None
+    for _ in range(_QUAD_MAX_DOUBLINGS + 1):
+        half = 0.5 * trap + node_sum(mesh(2 * panels)[1::2],
+                                     np.repeat(widths / (2 * panels), panels))
+        fine = (4.0 * half - trap) / 3.0
+        trap, panels = half, 2 * panels
+        if coarse is not None:
+            err = np.max(np.abs(np.fft.irfft(fine - coarse, n=grid.n))) / 15.0
+            scale = max(np.max(np.abs(np.fft.irfft(fine, n=grid.n))), 1e-14)
+            if err <= rtol * scale:
+                return np.fft.irfft(fine + (fine - coarse) / 15.0, n=grid.n)
         coarse = fine
     raise QuadratureError(
         f"path integral did not converge to {rtol:g} relative "

@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from hornwave.errors import BreakdownError, DomainError
+from hornwave import kernel as kernel_module
+from hornwave import rg
+from hornwave.errors import BreakdownError, ConfigError, DomainError
 from hornwave.grid import TauGrid
 from hornwave.kernel import InitialCondition, bessel_i, kernel_quadrature
 from hornwave.profiles import ConstantProfile, ExponentialProfile
@@ -107,6 +109,44 @@ class TestSmallAmplitude:
         qpt = perturbative(PhysParams(0.0, 1.0), FLARE, COS, 0.8, GRID)
         assert np.max(np.abs(qpt - math.exp(-0.8) * np.cos(GRID.tau))) <= 1e-13
 
+    @pytest.mark.parametrize("x", [0.01, 0.05, 1.0])
+    def test_non_harmonic_signal_against_cosine_sums(self, x):
+        # constant duct: the tail weight mu_x/mu is 0 and nu/mu = 1, so
+        # qpt = nu K_a + (a nu / 2)(K_aa - K_a^2), with K_a and K_aa the heat
+        # propagation of W/nu and (W/nu)^2.  W^2 reaches mode 40, past the
+        # Nyquist mode 32 of the n = 64 grid.
+        a, nu = 0.3, 0.8
+        coeffs = {1: 1.0, 5: 0.3, 20: 0.2}
+        grid = TauGrid.periodic_default(64)
+        w = sum(c * np.cos(j * grid.tau) for j, c in coeffs.items())
+
+        def mode(m):
+            return math.exp(-nu * m * m * x) * np.cos(m * grid.tau)
+
+        k_a = sum(c * mode(j) for j, c in coeffs.items()) / nu
+        # cos(j t) cos(l t) = (cos((j - l) t) + cos((j + l) t)) / 2
+        k_aa = sum(cj * cl * 0.5 * (mode(j - l) + mode(j + l))
+                   for j, cj in coeffs.items()
+                   for l, cl in coeffs.items()) / nu ** 2
+        ref = nu * k_a + 0.5 * a * nu * (k_aa - k_a * k_a)
+        qpt = perturbative(PhysParams(a, nu), ConstantProfile(),
+                           InitialCondition.tabulated(w, grid), x, grid)
+        assert np.max(np.abs(qpt - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    def test_windowed_grid_fails_fast(self, monkeypatch, a):
+        # heat propagation is spectral: a windowed grid is refused before
+        # any kernel work, at a = 0 as well
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel work on a windowed grid")
+
+        monkeypatch.setattr(rg, "kernel_quadrature", no_kernel)
+        monkeypatch.setattr(kernel_module, "adaptive_quad", no_kernel)
+        ic = InitialCondition.from_callable(np.cos, window=(-20.0, 20.0))
+        with pytest.raises(ConfigError):
+            perturbative(PhysParams(a, 1.0), FLARE, ic, 0.5,
+                         TauGrid.windowed(-2.0, 2.0, 17))
+
     def test_quadratic_agreement_with_first_order(self):
         # quick two-point version of the full scaling study
         diffs = []
@@ -156,3 +196,33 @@ class TestEvaluateStation:
                                fields=("q0", "q1"))
         kf = kernel_quadrature(COS, 1.0, 1.0, 0.4, GRID)
         assert np.max(np.abs(sol.q0 - zero_order(params, FLARE, kf))) == 0.0
+
+
+class TestPathIntegralNodes:
+    @pytest.mark.parametrize("field", ["q1", "qpt"])
+    def test_each_node_evaluated_once(self, monkeypatch, field):
+        # the profile is asked once per level, on an array of new nodes;
+        # no node's kernel is built twice, and qpt builds none
+        weight_args, kernel_stations = [], []
+        profile_cls = type(FLARE)
+        weight, kernel = profile_cls.mu_x_over_mu, rg.kernel_quadrature
+
+        def counted_weight(self, x):
+            weight_args.append(x)
+            return weight(self, x)
+
+        def counted_kernel(*args):
+            kernel_stations.append(args[3])
+            return kernel(*args)
+
+        monkeypatch.setattr(profile_cls, "mu_x_over_mu", counted_weight)
+        monkeypatch.setattr(rg, "kernel_quadrature", counted_kernel)
+        sol = evaluate_station(PhysParams(1.0, 1.0), FLARE, COS, 0.7, GRID,
+                               fields=(field,))
+        assert getattr(sol, field) is not None
+        assert 0 < len(weight_args) <= rg._QUAD_MAX_DOUBLINGS + 2
+        assert all(isinstance(x, np.ndarray) and x.ndim == 1
+                   for x in weight_args)
+        assert len(kernel_stations) == len(set(kernel_stations))
+        if field == "qpt":
+            assert kernel_stations == []
