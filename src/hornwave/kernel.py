@@ -7,13 +7,22 @@ exponential field
 
 where G is the heat kernel with diffusivity nu and W is the signal shape
 at the throat.  Two independent evaluation routes are kept deliberately
-separate: a spectral/quadrature route valid for any signal, and a modified
-Bessel series valid for a pure harmonic.  Tests compare them against each
-other; production code may use either.
+separate: a quadrature route valid for any signal, and a modified Bessel
+series valid for a pure harmonic.  Tests compare them against each other;
+production code may use either.
 
-Derivatives of K in the amplitude parameter a come from the same
-convolution with W/nu and (W/nu)^2 weights.  At a = 0 they reduce to heat
-propagation, which the perturbative solution takes from heat_propagate.
+On a periodic grid the quadrature route builds e = exp(a W / nu) once on a
+working grid that resolves it, then smooths it in one of two ways, chosen
+from e alone.  When e.max() / e.min() is at most _FFT_RANGE_LIMIT, it
+multiplies the spectrum by exp(-nu k^2 x).  Above that, it keeps the
+direct trapezoid sum with clipped, nonnegative weights, because only that
+sum keeps K positive when e spans many decades.  kernel_quadrature returns
+K and its amplitude derivatives at one station; kernel_k returns K alone
+as a function of the station, for the first-order path integral.
+
+Derivatives of K in the amplitude parameter a come from the same smoothing
+of (W/nu) e and (W/nu)^2 e.  At a = 0 they reduce to heat propagation,
+which the perturbative solution takes from heat_propagate.
 """
 
 from __future__ import annotations
@@ -45,6 +54,12 @@ _SERIES_TAIL_RTOL = 1e-14
 _SPECTRUM_TAIL_RTOL = 1e-12
 _MAX_REFINEMENTS = 8
 _WINDOW_MASS_LIMIT = 1e-10
+# Largest e.max() / e.min() the spectral smoothing takes.  Its error is a few
+# eps max(e) at every point, so relative to the smallest K it grows with the
+# range: against a 40-digit Bessel sum (harmonic signal, stations down to
+# nu x = 5e-4) it measured 6e-8 at e^20 (a/nu = 10), within 4x of the direct
+# sum, 2e-4 at e^28 and 7e-2 at e^34, and K went negative at e^40.
+_FFT_RANGE_LIMIT = 1e9
 
 
 def heat_kernel(x, tau, nu=1.0):
@@ -239,13 +254,12 @@ class InitialCondition:
     def _trig_eval(self, tau):
         g = self.grid
         spec = np.fft.rfft(self.values) / g.n
-        theta = 2.0 * math.pi * (np.atleast_1d(tau) - g.start) / g.period
-        out = np.full(theta.shape, spec[0].real)
-        for k in range(1, g.n // 2):
-            out += 2.0 * (spec[k].real * np.cos(k * theta)
-                          - spec[k].imag * np.sin(k * theta))
-        out += spec[-1].real * np.cos((g.n // 2) * theta)
-        return out.reshape(np.shape(tau))
+        spec[1:-1] *= 2.0             # each interior mode and its conjugate
+        spec[-1] = spec[-1].real      # the Nyquist mode is a pure cosine
+        tau = np.asarray(tau, dtype=float)
+        theta = 2.0 * math.pi * (tau - g.start) / g.period
+        modes = np.exp(1j * np.multiply.outer(theta, np.arange(spec.size)))
+        return (modes @ spec).real
 
     def sample(self, grid: TauGrid):
         """Samples of W on a grid; tabulated signals allow spectral refinement."""
@@ -303,52 +317,114 @@ def _check_params(a, nu, x):
 
 
 def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
-    """Kernel field by direct convolution against the heat kernel.
+    """Kernel field: the signal exponential convolved with the heat kernel.
 
-    Periodic grids use the trapezoid sum in spectral form, refining the
-    working grid until the exponential of the signal is resolved to
-    rounding.  Windowed grids fall back to adaptive quadrature and require
-    the Gaussian mass outside the window to be negligible.
+    Periodic grids sample W on a working grid, refined until the smoothing
+    weights at x and the exponential e = exp(a W / nu) are resolved to
+    rounding, and smooth e, (W/nu) e and (W/nu)^2 e there: spectrally when
+    e.max() / e.min() is at most _FFT_RANGE_LIMIT, otherwise by the direct
+    trapezoid sum with clipped weights, which keeps K positive however many
+    decades e spans.  Windowed grids fall back to adaptive quadrature and
+    require the Gaussian mass outside the window to be negligible.
     """
     _check_params(a, nu, x)
     if not grid.periodic:
         return _kernel_windowed(ic, a, nu, x, grid)
+    fine, w, e = _signal_exponential(ic, a, nu, grid,
+                                     _weight_points(grid, nu, x))
+    spectral = _spectral_route(e)
+    wn = w / nu
+    step = fine.n // grid.n
+    k, k_a, k_aa = (_heat_smoother(f, fine, nu, spectral)(x)[::step]
+                    for f in (e, wn * e, wn * wn * e))
+    return KernelField(a=float(a), nu=float(nu), x=float(x), grid=grid,
+                       k=k, k_a=k_a, k_aa=k_aa)
 
+
+def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
+    """K alone on a periodic grid, as the function x -> K(a, x, .).
+
+    The working grid and the signal exponential are built once.  On the
+    spectral route each station then costs one spectral multiply; above the
+    range limit each costs one direct sum, on a finer working grid where
+    the smoothing weights at x need one.
+    """
+    _check_params(a, nu, 0.0)
+    if not grid.periodic:
+        raise ConfigError("the K evaluator needs a periodic grid")
+    fine, _, e = _signal_exponential(ic, a, nu, grid)
+    spectral = _spectral_route(e)
+    smooth = _heat_smoother(e, fine, nu, spectral)
+
+    def k_at(x):
+        _check_params(a, nu, x)
+        need = _weight_points(grid, nu, x)
+        if spectral or need <= fine.n:
+            return smooth(x)[::fine.n // grid.n]
+        fine_x, _, e_x = _signal_exponential(ic, a, nu, grid, need)
+        return _heat_smoother(e_x, fine_x, nu, False)(x)[::fine_x.n // grid.n]
+
+    return k_at
+
+
+def _weight_points(grid, nu, x):
+    """Samples the direct sum needs at station x: the modes past Nyquist
+    must have exp(-nu kappa^2 x) below rounding."""
+    if x == 0.0:
+        return 0.0
+    return (grid.period / math.pi) * math.sqrt(41.5 / (nu * x))
+
+
+def _signal_exponential(ic, a, nu, grid, min_points=0.0):
+    """Working grid, W and e = exp(a W / nu) for the periodic kernel.
+
+    The caller's grid is doubled until it has min_points samples and then
+    until the spectrum of e has decayed to rounding at Nyquist.  W is
+    sampled on the working grid and exponentiated there.
+    """
     fine = grid
-    if x > 0.0:
-        # the smoothing weights must also be resolved: modes past Nyquist
-        # need exp(-nu kappa^2 x) below rounding
-        need = (grid.period / math.pi) * math.sqrt(41.5 / (nu * x))
-        while fine.n < need:
-            fine = fine.refined(2)
+    while fine.n < min_points:
+        fine = fine.refined(2)
     for _ in range(_MAX_REFINEMENTS + 1):
         w = ic.sample(fine)
         e = np.exp((a / nu) * w)
         spec = np.abs(np.fft.rfft(e))
         if max(spec[-1], spec[-2]) <= _SPECTRUM_TAIL_RTOL * spec.max():
-            break
+            return fine, w, e
         fine = fine.refined(2)
-    else:
-        raise ResolutionError(
-            "signal exponential not band-limited on any working grid",
-            suggested_n=fine.n * 2)
+    raise ResolutionError(
+        "signal exponential not band-limited on any working grid",
+        suggested_n=fine.n * 2)
 
-    wn = w / nu
-    fields = (e, wn * e, wn * wn * e)
-    if x == 0.0:
-        out = [f.copy() for f in fields]       # delta limit of the Gaussian
-    else:
-        kappa = fine.wavenumbers()
-        weights = np.fft.irfft(np.exp(-nu * kappa * kappa * x), n=fine.n)
+
+def _spectral_route(e):
+    """Whether e spans few enough decades for the spectral smoothing."""
+    return e.max() <= _FFT_RANGE_LIMIT * e.min()
+
+
+def _heat_smoother(f, fine, nu, spectral):
+    """x -> G(x) * f, heat smoothing of periodic samples on the working grid.
+
+    The spectral route takes the spectrum of f once and multiplies it by
+    exp(-nu kappa^2 x); its rounding error is a few eps max|f| everywhere.
+    The direct route sums f against the periodic Gaussian weights.
+    """
+    kappa = fine.wavenumbers()
+    spec = np.fft.rfft(f) if spectral else None
+
+    def smooth(x):
+        if x == 0.0:
+            return f.copy()                    # delta limit of the Gaussian
+        decay = np.exp(-nu * kappa * kappa * x)
+        if spectral:
+            return np.fft.irfft(spec * decay, n=fine.n)
         # negative lobes are pure truncation noise; clipping them makes the
         # convolution a sum of nonnegative terms, so K stays positive even
         # when the signal exponential spans many decades
-        weights = np.maximum(weights, 0.0)
-        out = [_circular_convolve(f, weights) for f in fields]
-    step = fine.n // grid.n
-    k, k_a, k_aa = (f[::step] for f in out)
-    return KernelField(a=float(a), nu=float(nu), x=float(x), grid=grid,
-                       k=k, k_a=k_a, k_aa=k_aa)
+        weights = np.maximum(np.fft.irfft(decay, n=fine.n), 0.0)
+        return _circular_convolve(f, weights)
+
+    return smooth
 
 
 def _circular_convolve(values, weights):

@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BreakdownError, DomainError, QuadratureError
+from .errors import BreakdownError, ConfigError, DomainError, QuadratureError
 from .grid import TauGrid
-from .kernel import (InitialCondition, KernelField, heat_propagate,
+from .kernel import (InitialCondition, KernelField, heat_propagate, kernel_k,
                      kernel_quadrature)
 from .profiles import Profile
 
@@ -99,18 +99,24 @@ def _bracket(kvals, mu_over_nu):
 def first_order(params: PhysParams, profile: Profile, ic: InitialCondition,
                 x, grid: TauGrid, *, quad_rtol=1e-6,
                 outer_kernel: Optional[KernelField] = None):
-    """Gradient-corrected field at station x."""
+    """Gradient-corrected field at station x.
+
+    The path integral reads K alone at its nodes, from one K evaluator
+    built for the station; the station's own kernel serves x' = x.
+    """
     x, nu = float(x), params.nu
+    if params.a > 0.0 and not grid.periodic:
+        raise ConfigError("q1 needs a periodic grid at a > 0: its path "
+                          "integral is spectral, and this grid is windowed")
     if outer_kernel is None:
         outer_kernel = kernel_quadrature(ic, params.a, nu, x, grid)
     if params.a == 0.0:
         return nu * outer_kernel.k_a   # correction is O(a^2)
     mu = profile.mu(nu, x)
+    k_at = kernel_k(ic, params.a, nu, grid)
 
-    def node_field(xp, mu_p):   # the station's own kernel serves x' = x
-        kf = outer_kernel if xp == x else kernel_quadrature(
-            ic, params.a, nu, xp, grid)
-        return _bracket(kf.k, mu_p / nu)
+    def node_field(xp, mu_p):
+        return _bracket(outer_kernel.k if xp == x else k_at(xp), mu_p / nu)
 
     correction = _convolved_path_integral(profile, node_field, x, grid, nu,
                                           rtol=quad_rtol)
@@ -129,6 +135,10 @@ def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
     are decimated back to the caller's grid.  Periodic grids only.
     """
     x, nu = float(x), params.nu
+    if not grid.periodic:
+        raise ConfigError("qpt needs a periodic grid: its path integral and "
+                          "heat propagation are spectral, and this grid is "
+                          "windowed")
     fine = grid.refined(2)
     wn = ic.sample(fine) / nu
 
@@ -202,11 +212,10 @@ def evaluate_station(params: PhysParams, profile: Profile,
     x = float(x)
     out = {}
     kernel = None
-    if "q0" in fields or "q1" in fields:
-        kernel = kernel_quadrature(ic, params.a, params.nu, x, grid)
     if "q0" in fields:
+        kernel = kernel_quadrature(ic, params.a, params.nu, x, grid)
         out["q0"] = zero_order(params, profile, kernel)
-    if "q1" in fields:
+    if "q1" in fields:     # builds the kernel itself, after its grid check
         out["q1"] = first_order(params, profile, ic, x, grid,
                                 quad_rtol=quad_rtol, outer_kernel=kernel)
     if "qpt" in fields:

@@ -2,15 +2,20 @@
 
 Cross-checks: an in-test 12-term Bessel series, scipy's exponentially
 scaled ive, an extended-precision trapezoid oracle for the kernel field,
-and agreement between the series and quadrature routes.
+agreement between the series and quadrature routes, and agreement between
+the spectral and direct smoothing of the quadrature route.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ive
 
+from hornwave import kernel as kernel_module
 from hornwave.errors import (
     ConfigError,
     DomainError,
@@ -25,6 +30,7 @@ from hornwave.kernel import (
     bessel_i_sequence,
     heat_kernel,
     heat_propagate,
+    kernel_k,
     kernel_quadrature,
     kernel_series,
 )
@@ -224,6 +230,102 @@ class TestKernelField:
             kernel_series(tab, 1.0, 1.0, 0.5, GRID)
 
 
+# Each smoothing route rounds to a few eps max(e): the rfft/irfft pair by
+# O(log n) eps of the largest sample, the direct sum of nonnegative terms by
+# a few eps of its largest term.  Measured: at most 1.9 eps max(e) apart.
+ROUTE_GAP = 16.0 * np.finfo(float).eps
+RANGE_EXPONENT = math.log(kernel_module._FFT_RANGE_LIMIT)
+DENSE = TauGrid.periodic_default(4096).tau
+
+
+@st.composite
+def spectral_signals(draw):
+    """(signal, a, max W) at nu = 1 with exp(a W) spanning at most the limit.
+
+    Either a harmonic or a table of up to four random cosine modes on GRID;
+    a is scaled from the span of W on a dense grid, which bounds the span on
+    any working grid.
+    """
+    if draw(st.booleans()):
+        amp = draw(st.floats(0.1, 2.0))
+        ic = InitialCondition.harmonic(amp, draw(st.floats(0.0, 2 * math.pi)))
+        w_max, span = amp, 2.0 * amp
+    else:
+        modes = draw(st.lists(st.tuples(st.integers(1, 8),
+                                        st.floats(-1.0, 1.0),
+                                        st.floats(0.0, 2 * math.pi)),
+                              min_size=1, max_size=4))
+
+        def w(tau):
+            return sum(c * np.cos(j * tau + p) for j, c, p in modes)
+
+        ic = InitialCondition.tabulated(w(GRID.tau), GRID)
+        dense = w(DENSE)
+        w_max, span = dense.max(), dense.max() - dense.min()
+    a = draw(st.floats(0.05, 0.98)) * RANGE_EXPONENT / max(span, 1e-3)
+    return ic, a, w_max
+
+
+def counted_convolutions():
+    return mock.patch.object(kernel_module, "_circular_convolve",
+                             wraps=kernel_module._circular_convolve)
+
+
+class TestSmoothingRoutes:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(signal=spectral_signals(), nux=st.floats(1e-3, 3.0))
+    def test_spectral_route_positive_and_close_to_direct(self, signal, nux):
+        ic, a, w_max = signal
+        with counted_convolutions() as conv:
+            spectral = kernel_quadrature(ic, a, 1.0, nux, GRID).k
+        assert conv.call_count == 0
+        with mock.patch.object(kernel_module, "_FFT_RANGE_LIMIT", 0.0):
+            direct = kernel_quadrature(ic, a, 1.0, nux, GRID).k
+        assert np.min(spectral) > 0.0
+        gap = np.max(np.abs(spectral - direct))
+        assert gap <= ROUTE_GAP * math.exp(a * w_max)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(a_nu=st.floats(0.0, 10.0), amp=st.floats(0.1, 1.0),
+           phase=st.floats(0.0, 2 * math.pi), nux=st.floats(0.01, 5.0))
+    def test_spectral_route_against_series(self, a_nu, amp, phase, nux):
+        ic = InitialCondition.harmonic(amp, phase)
+        with counted_convolutions() as conv:
+            kq = kernel_quadrature(ic, a_nu, 1.0, nux, GRID)
+        assert conv.call_count == 0
+        # K_aa's harmonic k carries I_{k-2}, two orders past K's own
+        # truncation, which the default kmax misses at small z (2.6e-10 at
+        # z = 0.0078); 48 orders cover every z <= 10
+        ks = kernel_series(ic, a_nu, 1.0, nux, GRID, kmax=48)
+        for mine, other in [(kq.k, ks.k), (kq.k_a, ks.k_a), (kq.k_aa, ks.k_aa)]:
+            assert np.max(np.abs(mine - other)) <= 1e-10
+
+    @pytest.mark.parametrize("scale,convolutions", [(0.99, 0), (1.01, 3)])
+    def test_route_switches_at_the_limit(self, scale, convolutions):
+        # exp(a cos) spans e^{2a}: the limit sits at a = log(limit) / 2
+        a = scale * 0.5 * RANGE_EXPONENT
+        with counted_convolutions() as conv:
+            kernel_quadrature(COS, a, 1.0, 0.3, GRID)
+        assert conv.call_count == convolutions
+
+    @pytest.mark.parametrize("a_nu", [10.0, 50.0])
+    def test_k_evaluator_matches_station_kernel(self, a_nu):
+        # one evaluator serves every station; the direct route (a/nu = 50)
+        # repeats kernel_quadrature's sums exactly, finer grid included
+        k_at = kernel_k(COS, a_nu, 1.0, GRID)
+        for nux in (0.0, 1e-4, 0.02, 0.7):
+            ref = kernel_quadrature(COS, a_nu, 1.0, nux, GRID).k
+            if a_nu > 0.5 * RANGE_EXPONENT:
+                assert np.array_equal(k_at(nux), ref)
+            else:
+                gap = np.max(np.abs(k_at(nux) - ref))
+                assert gap <= ROUTE_GAP * math.exp(a_nu)
+
+    def test_k_evaluator_rejects_windowed_grid(self):
+        with pytest.raises(ConfigError):
+            kernel_k(COS, 1.0, 1.0, TauGrid.windowed(-1.0, 1.0, 17))
+
+
 class TestWindowedKernel:
     BUMP = staticmethod(lambda tau: np.exp(-8.0 * np.asarray(tau) ** 2))
 
@@ -271,6 +373,22 @@ class TestInitialCondition:
         vals = np.cos(2 * GRID.tau)
         ic = InitialCondition.tabulated(vals, GRID)
         assert ic(0.37) == pytest.approx(math.cos(0.74), abs=1e-13)
+
+    def test_trig_eval_matches_mode_loop(self):
+        # the mode-by-mode sum the vectorized evaluation replaced
+        rng = np.random.default_rng(11)
+        grid = TauGrid(n=64, period=3.0, start=-1.0)
+        ic = InitialCondition.tabulated(rng.standard_normal(grid.n), grid)
+        tau = grid.start + grid.period * rng.uniform(-1.0, 2.0, (3, 5))
+        spec = np.fft.rfft(ic.values) / grid.n
+        theta = 2.0 * math.pi * (tau - grid.start) / grid.period
+        ref = np.full(theta.shape, spec[0].real)
+        for k in range(1, grid.n // 2):
+            ref += 2.0 * (spec[k].real * np.cos(k * theta)
+                          - spec[k].imag * np.sin(k * theta))
+        ref += spec[-1].real * np.cos((grid.n // 2) * theta)
+        assert np.max(np.abs(ic(tau) - ref)) <= 1e-14
+        assert ic(tau[0, 0]) == pytest.approx(ref[0, 0], abs=1e-14)
 
     def test_rejects_unrelated_grid(self):
         ic = InitialCondition.tabulated(np.cos(GRID.tau), GRID)

@@ -135,17 +135,26 @@ class TestSmallAmplitude:
 
     @pytest.mark.parametrize("a", [0.0, 0.5])
     def test_windowed_grid_fails_fast(self, monkeypatch, a):
-        # heat propagation is spectral: a windowed grid is refused before
-        # any kernel work, at a = 0 as well
+        # the path integral and heat propagation are spectral: a windowed
+        # grid is refused before any kernel work, by qpt at every a and by
+        # q1 at a > 0; at a = 0, q1 is heat decay and windowed kernels serve it
         def no_kernel(*args, **kwargs):
             raise AssertionError("kernel work on a windowed grid")
 
         monkeypatch.setattr(rg, "kernel_quadrature", no_kernel)
         monkeypatch.setattr(kernel_module, "adaptive_quad", no_kernel)
         ic = InitialCondition.from_callable(np.cos, window=(-20.0, 20.0))
-        with pytest.raises(ConfigError):
-            perturbative(PhysParams(a, 1.0), FLARE, ic, 0.5,
-                         TauGrid.windowed(-2.0, 2.0, 17))
+        grid = TauGrid.windowed(-2.0, 2.0, 17)
+        fields = {"qpt": perturbative, "q1": first_order}
+        for name in ("qpt", "q1") if a > 0.0 else ("qpt",):
+            with pytest.raises(ConfigError, match=f"{name} needs a periodic"):
+                fields[name](PhysParams(a, 1.0), FLARE, ic, 0.5, grid)
+        if a == 0.0:
+            monkeypatch.undo()
+            q1 = evaluate_station(PhysParams(a, 1.0), FLARE, ic, 0.5, grid,
+                                  fields=("q1",)).q1
+            heat = math.exp(-0.5) * np.cos(grid.tau)
+            assert np.max(np.abs(q1 - heat)) <= 1e-9
 
     def test_quadratic_agreement_with_first_order(self):
         # quick two-point version of the full scaling study
@@ -226,3 +235,33 @@ class TestPathIntegralNodes:
         assert len(kernel_stations) == len(set(kernel_stations))
         if field == "qpt":
             assert kernel_stations == []
+
+    @pytest.mark.parametrize("a_nu,per_node", [(10.0, 0), (50.0, 1)])
+    def test_direct_sums_per_node(self, monkeypatch, a_nu, per_node):
+        # the nodes read K alone: spectrally below the range limit of the
+        # signal exponential (e^20 here), by one direct sum above it (e^100)
+        grid, x = TauGrid.periodic_default(64), 0.5
+        outer = kernel_quadrature(COS, a_nu, 1.0, x, grid)
+        node_arrays, sums = [], []
+        profile_cls = type(FLARE)
+        mu, convolve = profile_cls.mu, kernel_module._circular_convolve
+
+        def recorded_mu(self, nu, xs):
+            if np.ndim(xs):
+                node_arrays.append(np.array(xs))
+            return mu(self, nu, xs)
+
+        def counted_convolve(*args):
+            sums.append(1)
+            return convolve(*args)
+
+        monkeypatch.setattr(profile_cls, "mu", recorded_mu)
+        monkeypatch.setattr(kernel_module, "_circular_convolve",
+                            counted_convolve)
+        first_order(PhysParams(a_nu, 1.0), FLARE, COS, x, grid,
+                    outer_kernel=outer)
+        nodes = np.concatenate(node_arrays)
+        # x' = 0 is the delta limit and x' = x reuses the station kernel
+        smoothed = np.count_nonzero((nodes > 0.0) & (nodes != x))
+        assert smoothed > 0
+        assert len(sums) == per_node * smoothed
