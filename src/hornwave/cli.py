@@ -152,6 +152,19 @@ class InvariantSpec:
     zeta: tuple
     grid: TauGrid
 
+    def __post_init__(self):
+        b0, b1, b2, m = self.config.betas
+        if self.route == "orbit" and (b2 != 0.0 or b1 != -m):
+            raise ConfigError(
+                "the orbit route needs the constant-flare branch "
+                "(beta2 = 0, beta1 = -M)")
+
+    def orbit(self):
+        """The orbit route's periodic W table."""
+        return first_integral_solution(
+            self.config.betas[3], self.config.params.a, self.config.c0,
+            c1=self.config.c1, nu=self.config.params.nu)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -280,10 +293,6 @@ def _build_invariant(cp, params) -> InvariantSpec | None:
         raise ConfigError(f"invariant route must be 'orbit' or 'ode', got {route!r}")
     kwargs = {}
     if route == "orbit":
-        if betas[2] != 0.0 or betas[1] != -betas[3]:
-            raise ConfigError(
-                "the orbit route needs the constant-flare branch "
-                "(beta2 = 0, beta1 = -M)")
         kwargs["c0"] = _need(cp, "invariant", "c0")
         kwargs["c1"] = _opt(cp, "invariant", "c1", 0.0)
     else:
@@ -302,19 +311,20 @@ def _build_invariant(cp, params) -> InvariantSpec | None:
     zeta = tuple(np.linspace(start, stop, count))
 
     n = _opt(cp, "invariant", "grid_n", 256, int)
+    period = _opt(cp, "invariant", "period", None)
     if cp.has_option("invariant", "window_lo") or cp.has_option("invariant", "window_hi"):
         grid = TauGrid.windowed(_need(cp, "invariant", "window_lo"),
                                 _need(cp, "invariant", "window_hi"), n)
-    else:
-        period = _opt(cp, "invariant", "period", None)
-        if period is None:
-            if route != "orbit":
-                raise ConfigError(
-                    "[invariant] needs a window or period for the ode route")
-            orbit = first_integral_solution(
-                betas[3], params.a, kwargs["c0"], c1=kwargs["c1"], nu=params.nu)
-            period = orbit.period * math.sqrt(betas[0])
+    elif period is not None:
         grid = TauGrid(n=n, period=period)
+    elif route != "orbit":
+        raise ConfigError("[invariant] needs a window or period for the ode route")
+    else:
+        # one orbit period; the orbit exists only once the spec has passed
+        # its branch check
+        spec = InvariantSpec(config=config, route=route, zeta=zeta, grid=TauGrid(n=n))
+        return replace(spec, grid=TauGrid(n=n, period=spec.orbit().period
+                                          * math.sqrt(betas[0])))
     return InvariantSpec(config=config, route=route, zeta=zeta, grid=grid)
 
 
@@ -486,13 +496,7 @@ def run_invariant(config: RunConfig):
         raise ConfigError("config has no [invariant] section")
     betas = spec.config.betas
     if spec.route == "orbit":
-        if betas[2] != 0.0 or betas[1] != -betas[3]:
-            raise ConfigError(
-                "the orbit route needs the constant-flare branch "
-                "(beta2 = 0, beta1 = -M)")
-        table = first_integral_solution(
-            betas[3], spec.config.params.a, spec.config.c0,
-            c1=spec.config.c1, nu=spec.config.params.nu)
+        table = spec.orbit()
     else:
         lam_lo, lam_hi = 0.0, 0.0
         for z in spec.zeta:

@@ -219,25 +219,7 @@ class OrbitTable:
         return out if np.ndim(lam) else float(out)
 
 
-@dataclass(frozen=True)
-class BranchTable:
-    """Monotone lam(W) along one radicand-positive stretch, invertible."""
-
-    w: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)
-    _spline: CubicSpline = field(repr=False)
-
-    def __call__(self, lam):
-        arr = np.asarray(lam, dtype=float)
-        lo, hi = self.lam[0], self.lam[-1]
-        span = hi - lo
-        if np.any(arr < lo - 1e-12 * span) or np.any(arr > hi + 1e-12 * span):
-            raise CoverageError("lam outside the tabulated branch")
-        out = self._spline(np.clip(arr, lo, hi))
-        return out if np.ndim(lam) else float(out)
-
-
-def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0, w_range=None,
+def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0,
                             n_theta=_ORBIT_SAMPLES):
     """Quadrature of the conserved-energy form of the factor ODE.
 
@@ -246,15 +228,12 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0, w_range=None,
 
         R(W) = c0 exp(-2 a W / nu) + (M / 2 a^2) (2 a W - nu),
 
-    so lam(W) is the crossing-time integral of 1/sqrt(R).  With no
-    ``w_range`` the periodic branch is built: R is strictly concave, its
-    two simple roots bound the orbit, and the angular substitution
-    W = mid - half*cos(theta) turns both inverse-square-root endpoints
-    into a smooth integrand sampled densely in theta.  Returns an
-    :class:`OrbitTable` (period = twice the half-orbit integral).
-
-    With ``w_range`` the signed branch lam(W) is tabulated by adaptive
-    quadrature on that stretch instead (:class:`BranchTable`).
+    so lam(W) is the crossing-time integral of 1/sqrt(R).  R is strictly
+    concave, its two simple roots bound the periodic orbit, and the
+    angular substitution W = mid - half*cos(theta) turns both
+    inverse-square-root endpoints into a smooth integrand sampled densely
+    in theta.  Returns an :class:`OrbitTable` (period = twice the
+    half-orbit integral).
     """
     if a <= 0:
         raise ConfigError("a must be positive")
@@ -267,9 +246,6 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0, w_range=None,
 
     def radicand_slope(w):
         return (-2.0 * a / nu) * c0 * np.exp((-2.0 * a / nu) * w) + m / a
-
-    if w_range is not None:
-        return _branch_table(radicand, w_range, c1)
 
     if m >= 0 or c0 >= 0:
         raise ConfigError(
@@ -311,23 +287,6 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0, w_range=None,
     # clamped ends: W'(lam) vanishes exactly at the turning points
     spline = CubicSpline(lam, w, bc_type=((1, 0.0), (1, 0.0)))
     return OrbitTable(float(w_bot), float(w_top), period, float(c1), spline)
-
-
-def _branch_table(radicand, w_range, c1, n=513):
-    w_lo, w_hi = (float(w_range[0]), float(w_range[1]))
-    if not w_hi > w_lo:
-        raise ConfigError("w_range must be an increasing pair")
-    w = np.linspace(w_lo, w_hi, n)
-    if np.any(radicand(w[1:-1]) <= 0.0):
-        raise ConfigError("radicand must stay positive inside w_range")
-    lam = np.empty_like(w)
-    lam[0] = c1
-    for k in range(1, n):
-        # endpoint panels tolerate an integrable 1/sqrt zero at the rim
-        lam[k] = lam[k - 1] + adaptive_quad(
-            lambda x: 1.0 / math.sqrt(radicand(x)), w[k - 1], w[k],
-            rtol=1e-10)
-    return BranchTable(w, lam, CubicSpline(lam, w))
 
 
 @lru_cache(maxsize=32)

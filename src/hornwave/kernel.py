@@ -482,7 +482,8 @@ def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):
         raise ConfigError("series kernel requires a 2*pi periodic grid")
 
     z = a * ic.amplitude / nu
-    needed = _series_order(z)
+    # harmonic k of K_aa carries I_{k-2}: two orders past the tail of I_k
+    needed = _series_order(z) + 2
     if kmax is None:
         kmax = needed
     else:

@@ -37,18 +37,12 @@ _MAX_PANELS = 1 << 16
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _check_range(x, lo, hi, what, hi_inclusive=True):
-    arr, _ = _as_float_array(x)
-    if np.any(arr < lo) or np.any(arr > hi if hi_inclusive else arr >= hi):
-        bad = arr[(arr < lo) | ((arr > hi) if hi_inclusive else (arr >= hi))]
-        raise DomainError(
-            f"{what} = {float(np.atleast_1d(bad)[0]):g} outside "
-            f"[{lo:g}, {hi:g}{']' if hi_inclusive else ')'}")
+def _check_range(arr, hi, what, hi_open=False):
+    """Raise DomainError unless every point lies in [0, hi] ([0, hi) if open)."""
+    bad = (arr < 0.0) | ((arr >= hi) if hi_open else (arr > hi))
+    if bad.any():
+        raise DomainError(f"{what} = {float(arr[bad][0]):g} outside "
+                          f"[0, {hi:g}{')' if hi_open else ']'}")
 
 
 def _rel_err(got, want):
@@ -81,60 +75,77 @@ def _clamped(spline):
 class Profile:
     """Common surface of all duct profiles.
 
-    Subclasses provide ``area``, ``area_derivative``, ``zeta_of_x`` and
-    ``x_of_zeta``; everything else derives from those.
+    Each public map takes a scalar or an array, checks it once against its
+    domain, [0, x_max] or [0, zeta_max] with the far end open where a class
+    marks it singular (``x_open``, ``zeta_open``), applies a private array
+    formula and returns a float for a scalar argument.  Subclasses provide
+    ``_area``, ``_area_derivative``, ``_zeta_of_x`` and ``_x_of_zeta``, and
+    ``_mu_x_over_mu`` or ``_mu_of_zeta`` where a closed form exists.
     """
 
     x_max: float = math.inf
     zeta_max: float = math.inf
+    x_open = zeta_open = False
     betas: tuple[float, float, float, float] | None = None
 
+    def _checked(self, formula, v, what):
+        arr = np.asarray(v, dtype=float)
+        if what == "x":
+            _check_range(arr, self.x_max, what, self.x_open)
+        else:
+            _check_range(arr, self.zeta_max, what, self.zeta_open)
+        out = formula(arr)
+        return out if arr.ndim else float(out)
+
     def area(self, x):
-        raise NotImplementedError
+        """Cross-section ratio S(x)."""
+        return self._checked(self._area, x, "x")
 
     def area_derivative(self, x):
-        raise NotImplementedError
+        """dS/dx."""
+        return self._checked(self._area_derivative, x, "x")
 
     def zeta_of_x(self, x):
-        raise NotImplementedError
+        """Stretched coordinate zeta(x)."""
+        return self._checked(self._zeta_of_x, x, "x")
 
     def x_of_zeta(self, zeta):
-        raise NotImplementedError
+        """Inverse map x(zeta)."""
+        return self._checked(self._x_of_zeta, zeta, "zeta")
 
     def mu(self, nu, x):
         """Absorption coefficient nu * sqrt(S(x))."""
-        return nu * np.sqrt(self.area(x))
+        return self._checked(lambda v: nu * np.sqrt(self._area(v)), x, "x")
 
     def mu_x_over_mu(self, x):
         """Logarithmic derivative d ln(mu)/dx = S'/(2S)."""
-        return self.area_derivative(x) / (2.0 * self.area(x))
+        return self._checked(self._mu_x_over_mu, x, "x")
 
     def mu_of_zeta(self, nu, zeta):
-        return self.mu(nu, self.x_of_zeta(zeta))
+        """Absorption coefficient at x(zeta)."""
+        return self._checked(lambda z: self._mu_of_zeta(nu, z), zeta, "zeta")
+
+    def _mu_x_over_mu(self, x):
+        return self._area_derivative(x) / (2.0 * self._area(x))
+
+    def _mu_of_zeta(self, nu, zeta):
+        return nu * np.sqrt(self._area(self._x_of_zeta(zeta)))
 
 
 @dataclass(frozen=True)
 class ConstantProfile(Profile):
     """Uniform duct: S = 1 identically, zeta coincides with x."""
 
-    def area(self, x):
-        arr, scalar = _as_float_array(x)
-        _check_range(arr, 0.0, math.inf, "x")
-        return 1.0 if scalar else np.ones(arr.shape)
+    def _area(self, x):
+        return np.ones(x.shape)
 
-    def area_derivative(self, x):
-        arr, scalar = _as_float_array(x)
-        return 0.0 if scalar else np.zeros(arr.shape)
+    def _area_derivative(self, x):
+        return np.zeros(x.shape)
 
-    def zeta_of_x(self, x):
-        _check_range(x, 0.0, math.inf, "x")
-        arr, scalar = _as_float_array(x)
-        return float(arr) if scalar else arr.copy()
+    def _zeta_of_x(self, x):
+        return x.copy()
 
-    def x_of_zeta(self, zeta):
-        _check_range(zeta, 0.0, math.inf, "zeta")
-        arr, scalar = _as_float_array(zeta)
-        return float(arr) if scalar else arr.copy()
+    _x_of_zeta = _zeta_of_x
 
 
 @dataclass(frozen=True)
@@ -142,6 +153,7 @@ class ExponentialProfile(Profile):
     """Exponential horn: S(x) = exp(2*alpha*x), so mu/nu = exp(alpha*x)."""
 
     alpha: float
+    zeta_open = True
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
@@ -149,31 +161,19 @@ class ExponentialProfile(Profile):
         object.__setattr__(self, "zeta_max",
                            1.0 / self.alpha if self.alpha > 0 else math.inf)
 
-    def area(self, x):
-        _check_range(x, 0.0, math.inf, "x")
-        return np.exp(2.0 * self.alpha * np.asarray(x, dtype=float)) if np.ndim(x) \
-            else math.exp(2.0 * self.alpha * float(x))
+    def _area(self, x):
+        return np.exp(2.0 * self.alpha * x)
 
-    def area_derivative(self, x):
-        return 2.0 * self.alpha * self.area(x)
+    def _area_derivative(self, x):
+        return 2.0 * self.alpha * self._area(x)
 
-    def zeta_of_x(self, x):
-        _check_range(x, 0.0, math.inf, "x")
+    def _zeta_of_x(self, x):
         a = self.alpha
-        if a == 0.0:
-            return np.asarray(x, dtype=float) + 0.0 if np.ndim(x) else float(x)
-        xv = np.asarray(x, dtype=float)
-        out = -np.expm1(-a * xv) / a
-        return out if np.ndim(x) else float(out)
+        return -np.expm1(-a * x) / a if a else x + 0.0
 
-    def x_of_zeta(self, zeta):
-        _check_range(zeta, 0.0, self.zeta_max, "zeta", hi_inclusive=False)
+    def _x_of_zeta(self, zeta):
         a = self.alpha
-        if a == 0.0:
-            return np.asarray(zeta, dtype=float) + 0.0 if np.ndim(zeta) else float(zeta)
-        zv = np.asarray(zeta, dtype=float)
-        out = -np.log1p(-a * zv) / a
-        return out if np.ndim(zeta) else float(out)
+        return -np.log1p(-a * zeta) / a if a else zeta + 0.0
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,7 @@ class SphericalProfile(Profile):
     """
 
     radius: float
+    x_open = True
 
     def __post_init__(self):
         if self.radius == 0.0 or not math.isfinite(self.radius):
@@ -192,31 +193,19 @@ class SphericalProfile(Profile):
         if self.radius < 0:
             object.__setattr__(self, "x_max", -self.radius)
 
-    def area(self, x):
-        _check_range(x, 0.0, self.x_max, "x", hi_inclusive=False)
-        base = 1.0 + np.asarray(x, dtype=float) / self.radius
-        out = base * base
-        return out if np.ndim(x) else float(out)
+    def _area(self, x):
+        base = 1.0 + x / self.radius
+        return base * base
 
-    def area_derivative(self, x):
-        _check_range(x, 0.0, self.x_max, "x", hi_inclusive=False)
-        out = 2.0 * (1.0 + np.asarray(x, dtype=float) / self.radius) / self.radius
-        return out if np.ndim(x) else float(out)
+    def _area_derivative(self, x):
+        return 2.0 * (1.0 + x / self.radius) / self.radius
 
-    def zeta_of_x(self, x):
-        _check_range(x, 0.0, self.x_max, "x", hi_inclusive=False)
-        out = self.radius * np.log1p(np.asarray(x, dtype=float) / self.radius)
-        return out if np.ndim(x) else float(out)
+    def _zeta_of_x(self, x):
+        return self.radius * np.log1p(x / self.radius)
 
-    def x_of_zeta(self, zeta):
-        _check_range(zeta, 0.0, math.inf, "zeta")
-        out = self.radius * np.expm1(np.asarray(zeta, dtype=float) / self.radius)
-        if np.ndim(zeta):
-            if np.any(out >= self.x_max):
-                raise DomainError("zeta maps beyond the profile domain")
-            return out
-        out = float(out)
-        if out >= self.x_max:
+    def _x_of_zeta(self, zeta):
+        out = self.radius * np.expm1(zeta / self.radius)
+        if np.any(out >= self.x_max):
             raise DomainError("zeta maps beyond the profile domain")
         return out
 
@@ -233,6 +222,7 @@ class PowerLawProfile(Profile):
     beta0: float
     beta1: float
     m: float
+    x_open = zeta_open = True
 
     def __post_init__(self):
         if self.beta0 <= 0:
@@ -253,44 +243,33 @@ class PowerLawProfile(Profile):
                            (self.beta0, self.beta1, 0.0, self.m))
 
     def _base(self, x):
-        _check_range(x, 0.0, self.x_max, "x", hi_inclusive=False)
-        base = 1.0 + self._c * np.asarray(x, dtype=float)
-        if np.any(np.asarray(base) <= 0.0):
+        base = 1.0 + self._c * x
+        if np.any(base <= 0.0):
             raise DomainError("power-law base reached zero inside the range")
         return base
 
-    def area(self, x):
-        out = self._base(x) ** (2.0 * self.m / (self.beta1 + self.m))
-        return out if np.ndim(x) else float(out)
+    def _area(self, x):
+        return self._base(x) ** (2.0 * self.m / (self.beta1 + self.m))
 
-    def area_derivative(self, x):
-        base = self._base(x)
+    def _area_derivative(self, x):
         p = 2.0 * self.m / (self.beta1 + self.m)
-        out = p * self._c * base ** (p - 1.0)
-        return out if np.ndim(x) else float(out)
+        return p * self._c * self._base(x) ** (p - 1.0)
 
-    def mu_x_over_mu(self, x):
-        out = self.m / (self.beta0 + (self.m + self.beta1) * np.asarray(x, dtype=float))
-        return out if np.ndim(x) else float(out)
+    def _mu_x_over_mu(self, x):
+        return self.m / (self.beta0 + (self.m + self.beta1) * x)
 
-    def zeta_of_x(self, x):
+    def _zeta_of_x(self, x):
         base = self._base(x)
         if self.beta1 == 0.0:
-            out = (self.beta0 / self.m) * np.log(base)
-        else:
-            q = self.beta1 / (self.m + self.beta1)
-            out = (self.beta0 / self.beta1) * (base ** q - 1.0)
-        return out if np.ndim(x) else float(out)
+            return (self.beta0 / self.m) * np.log(base)
+        q = self.beta1 / (self.m + self.beta1)
+        return (self.beta0 / self.beta1) * (base ** q - 1.0)
 
-    def x_of_zeta(self, zeta):
-        _check_range(zeta, 0.0, self.zeta_max, "zeta", hi_inclusive=False)
-        zv = np.asarray(zeta, dtype=float)
+    def _x_of_zeta(self, zeta):
         if self.beta1 == 0.0:
-            out = (np.exp(self.m * zv / self.beta0) - 1.0) / self._c
-        else:
-            inner = 1.0 + self.beta1 * zv / self.beta0
-            out = (inner ** ((self.m + self.beta1) / self.beta1) - 1.0) / self._c
-        return out if np.ndim(zeta) else float(out)
+            return (np.exp(self.m * zeta / self.beta0) - 1.0) / self._c
+        inner = 1.0 + self.beta1 * zeta / self.beta0
+        return (inner ** ((self.m + self.beta1) / self.beta1) - 1.0) / self._c
 
 
 class _TableMapProfile(Profile):
@@ -305,8 +284,9 @@ class _TableMapProfile(Profile):
     halved until both splines reproduce its midpoint, the inverse one
     forward or backward (see :func:`_map_err`), and the round trip must
     hold to ``_ROUNDTRIP_TOL`` before the profile exists; a table that
-    cannot get there raises QuadratureError.  Queries outside [0, x_max]
-    or [0, zeta_max] raise DomainError, so the splines never extrapolate.
+    cannot get there raises QuadratureError.  The base class rejects
+    queries outside [0, x_max] or [0, zeta_max], so the splines never
+    extrapolate.
     """
 
     def _tabulate_map(self, knots, rate, *, from_x):
@@ -363,15 +343,11 @@ class _TableMapProfile(Profile):
 
     # Clipped at the far end: a spline can land an ulp beyond it, which
     # the next map back would reject.
-    def zeta_of_x(self, x):
-        _check_range(x, 0.0, self.x_max, "x")
-        out = np.minimum(self._zeta_spline(x), self.zeta_max)
-        return out if np.ndim(x) else float(out)
+    def _zeta_of_x(self, x):
+        return np.minimum(self._zeta_spline(x), self.zeta_max)
 
-    def x_of_zeta(self, zeta):
-        _check_range(zeta, 0.0, self.zeta_max, "zeta")
-        out = np.minimum(self._x_spline(zeta), self.x_max)
-        return out if np.ndim(zeta) else float(out)
+    def _x_of_zeta(self, zeta):
+        return np.minimum(self._x_spline(zeta), self.x_max)
 
 
 @dataclass(frozen=True)
@@ -405,23 +381,20 @@ class BetaFamilyProfile(_TableMapProfile):
         self._tabulate_map(np.linspace(0.0, cap, _BETA_PANELS + 1),
                            lambda z: np.exp(d_of_zeta(betas, z)), from_x=False)
 
-    def area(self, x):
-        zeta = self.zeta_of_x(x)
-        return np.exp(2.0 * d_of_zeta(self.betas, zeta))
+    def _area(self, x):
+        return np.exp(2.0 * d_of_zeta(self.betas, self._zeta_of_x(x)))
 
-    def area_derivative(self, x):
-        zeta = self.zeta_of_x(x)
-        d = d_of_zeta(self.betas, zeta)
-        b = classifying_b(self.betas, zeta)
-        return 2.0 * self.m * np.exp(d) / b
+    def _area_derivative(self, x):
+        zeta = self._zeta_of_x(x)
+        return (2.0 * self.m * np.exp(d_of_zeta(self.betas, zeta))
+                / classifying_b(self.betas, zeta))
 
-    def mu_x_over_mu(self, x):
-        zeta = self.zeta_of_x(x)
-        d = d_of_zeta(self.betas, zeta)
-        b = classifying_b(self.betas, zeta)
-        return self.m * np.exp(-d) / b
+    def _mu_x_over_mu(self, x):
+        zeta = self._zeta_of_x(x)
+        return (self.m * np.exp(-d_of_zeta(self.betas, zeta))
+                / classifying_b(self.betas, zeta))
 
-    def mu_of_zeta(self, nu, zeta):
+    def _mu_of_zeta(self, nu, zeta):
         # closed form; skips the zeta -> x -> zeta round trip of the base class
         return nu * np.exp(d_of_zeta(self.betas, zeta))
 
@@ -452,20 +425,11 @@ class TabulatedProfile(_TableMapProfile):
             raise ConfigError("cross-section samples must be positive")
         object.__setattr__(self, "x_samples", x)
         object.__setattr__(self, "s_samples", s)
+        # the interpolant and its derivative are the area formulas
         interp = PchipInterpolator(x, s, extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_dinterp", interp.derivative())
+        object.__setattr__(self, "_area", interp)
+        object.__setattr__(self, "_area_derivative", interp.derivative())
         self._tabulate_map(x, lambda t: 1.0 / np.sqrt(interp(t)), from_x=True)
-
-    def area(self, x):
-        _check_range(x, 0.0, self.x_max, "x")
-        out = self._interp(x)
-        return out if np.ndim(x) else float(out)
-
-    def area_derivative(self, x):
-        _check_range(x, 0.0, self.x_max, "x")
-        out = self._dinterp(x)
-        return out if np.ndim(x) else float(out)
 
 
 def load_profile_table(path) -> TabulatedProfile:
@@ -525,9 +489,8 @@ def d_of_zeta(betas, zeta, *, boundary_tol=_CASE_BOUNDARY_TOL):
     Raises :class:`SingularProfileError` if b vanishes inside [0, zeta].
     """
     b0, b1, b2, m = betas
-    zarr, scalar = _as_float_array(zeta)
-    if np.any(zarr < 0):
-        raise DomainError("zeta must be nonnegative")
+    zarr = np.asarray(zeta, dtype=float)
+    _check_range(zarr, math.inf, "zeta")
     zmax = float(zarr.max()) if zarr.size else 0.0
     _check_no_root(betas, zmax)
     disc = b1 * b1 - 4.0 * b0 * b2
@@ -560,60 +523,4 @@ def d_of_zeta(betas, zeta, *, boundary_tol=_CASE_BOUNDARY_TOL):
         q = -0.5 * (b1 + math.copysign(s, b1))
         out = (m * math.copysign(1.0, b1) / s) * (np.log1p(-zarr * (q / b0))
                                                   - np.log1p(-zarr * (b2 / q)))
-    return float(out) if scalar else out
-
-
-def beta_profile_table(betas, s_range, n=65):
-    """Tabulate (S, zeta, x) for a classified duct family.
-
-    Supports the two branches with closed or single-quadrature forms:
-    ``beta2 = 0`` (power-law / exponential ducts) and ``beta1 = 0``
-    (arctangent absorption ducts, where x needs one quadrature in S).
-
-    Returns an (n, 3) array with columns S, zeta, x over ``s_range``.
-    """
-    b0, b1, b2, m = betas
-    if m == 0.0:
-        raise ConfigError("the classified family needs M != 0")
-    if b0 <= 0.0:
-        raise ConfigError("beta0 must be positive")
-    smin, smax = float(s_range[0]), float(s_range[1])
-    if not (0.0 < smin <= smax):
-        raise ConfigError(f"bad S range {s_range!r}")
-    grid = np.linspace(smin, smax, n)
-
-    if b2 == 0.0:
-        if b1 == -m:
-            x = (b0 / (2.0 * m)) * np.log(grid)
-            zeta = (b0 / m) * (1.0 - grid ** -0.5)
-        elif b1 == 0.0:
-            x = (b0 / m) * (np.sqrt(grid) - 1.0)
-            zeta = (b0 / (2.0 * m)) * np.log(grid)
-        else:
-            x = (b0 / (m + b1)) * (grid ** ((m + b1) / (2.0 * m)) - 1.0)
-            zeta = (b0 / b1) * (grid ** (b1 / (2.0 * m)) - 1.0)
-        return np.column_stack([grid, zeta, x])
-
-    if b1 == 0.0:
-        if b0 * b2 <= 0.0:
-            raise ConfigError("this branch needs beta0*beta2 > 0")
-        root = math.sqrt(b0 * b2)
-        theta = (root / (2.0 * m)) * np.log(grid)
-        if np.any(np.abs(theta) >= math.pi / 2.0 - 1e-12):
-            bad = grid[np.abs(theta) >= math.pi / 2.0 - 1e-12][0]
-            raise SingularProfileError(
-                f"cos factor vanishes inside the S range (S = {bad:g})")
-        zeta = math.sqrt(b0 / b2) * np.tan(theta)
-
-        def integrand(s):
-            th = (root / (2.0 * m)) * math.log(s)
-            return (b0 / (2.0 * m)) / (math.sqrt(s) * math.cos(th) ** 2)
-
-        x = np.empty_like(grid)
-        x[0] = adaptive_quad(integrand, 1.0, grid[0])
-        for i in range(1, grid.size):
-            x[i] = x[i - 1] + adaptive_quad(integrand, grid[i - 1], grid[i])
-        return np.column_stack([grid, zeta, x])
-
-    raise ConfigError(
-        "tabulation supports beta2 = 0 or beta1 = 0 families only")
+    return out if zarr.ndim else float(out)

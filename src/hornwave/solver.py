@@ -90,11 +90,6 @@ def u_from_q(values, grid: TauGrid):
     return 2.0 * spectral_derivative(values, grid)
 
 
-def p_from_u(values, profile: Profile, x):
-    """Physical pressure p = u / sqrt(S(x))."""
-    return np.asarray(values, dtype=float) / np.sqrt(profile.area(x))
-
-
 def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
           config: SolverConfig) -> SolverResult:
     grid = TauGrid.periodic_default(config.n)

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hornwave.cli import (ComparisonReport, RunConfig, compare, fig_config,
-                          load_config, main, read_field_table,
+from hornwave.cli import (ComparisonReport, InvariantSpec, RunConfig, compare,
+                          fig_config, load_config, main, read_field_table,
                           read_initial_table, read_profile_file, run,
                           station_filename)
 from hornwave.errors import ConfigError
+from hornwave.grid import TauGrid
+from hornwave.invariant import InvariantConfig
 from hornwave.kernel import InitialCondition
 from hornwave.profiles import ExponentialProfile
 from hornwave.rg import PhysParams
@@ -319,6 +321,16 @@ out = {tmp_path / 'inv'}
 """)
         assert main(["invariant", "--config", str(path)]) == 2
         assert "constant-flare" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("betas", [(1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 1.0)])
+    def test_orbit_spec_off_the_flare_branch_rejected(self, betas):
+        # built in code, not parsed: the spec itself checks its branch
+        config = InvariantConfig(betas=betas, params=PhysParams(1.0, 1.0), c0=-0.1)
+        with pytest.raises(ConfigError, match="constant-flare"):
+            InvariantSpec(config=config, route="orbit", zeta=(0.0, 0.1),
+                          grid=TauGrid(n=64))
+        InvariantSpec(config=config, route="ode", zeta=(0.0, 0.1),
+                      grid=TauGrid(n=64))
 
     def test_invariant_zero_width_zeta_range(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""

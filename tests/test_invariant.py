@@ -10,7 +10,7 @@ from hornwave._quadrature import adaptive_quad
 from hornwave.errors import (BlowUpError, ConfigError, CoverageError,
                              DomainError, HornWaveError, SingularProfileError)
 from hornwave.grid import TauGrid
-from hornwave.invariant import (BranchTable, InvariantConfig, OrbitTable,
+from hornwave.invariant import (InvariantConfig, OrbitTable,
                                 ShapeTable, assemble_invariant_q,
                                 first_integral_solution, integrate_factor_ode,
                                 nested_area_integral, similarity_vars)
@@ -236,25 +236,6 @@ class TestFirstIntegral:
         # constant-flare branch of the ODE: W'' + (W')^2 + W = 0
         res = wpp + orbit.slope(lams) ** 2 + orbit(lams)
         assert np.max(np.abs(res)) < 1e-6
-
-    def test_branch_mode_is_monotone_and_consistent(self):
-        orbit = first_integral_solution(-1.0, 1.0, -0.1)
-        lo = orbit.w_bottom + 0.05
-        hi = orbit.w_top - 0.05
-        branch = first_integral_solution(-1.0, 1.0, -0.1, w_range=(lo, hi))
-        assert np.all(np.diff(branch.lam) > 0.0)
-        # crossing that stretch takes less than half the full period
-        assert branch.lam[-1] - branch.lam[0] < 0.5 * orbit.period
-        # the table inverts itself through the spline
-        np.testing.assert_allclose(branch(branch.lam), branch.w,
-                                   rtol=0, atol=1e-10)
-
-    def test_branch_mode_rejects_sign_change(self):
-        orbit = first_integral_solution(-1.0, 1.0, -0.1)
-        with pytest.raises(ConfigError):
-            first_integral_solution(-1.0, 1.0, -0.1,
-                                    w_range=(orbit.w_bottom - 0.5,
-                                             orbit.w_top + 0.5))
 
     def test_periodicity_needs_negative_m_and_c0(self):
         with pytest.raises(ConfigError):

@@ -217,6 +217,16 @@ class TestKernelField:
         ks = kernel_series(COS, 10.0, 1.0, 0.5, coarse)
         assert np.max(np.abs(kq.k - ks.k)) <= 1e-10
 
+    def test_default_order_covers_the_derivatives(self):
+        # harmonic k of K_a carries I_{k-1} and of K_aa I_{k-2}: at small z
+        # the default truncation must reach past K's own tail for them
+        ic = InitialCondition.harmonic(amplitude=0.5)
+        mine = kernel_series(ic, 0.015625, 1.0, 0.0625, GRID)
+        ref = kernel_series(ic, 0.015625, 1.0, 0.0625, GRID, kmax=48)
+        for got, want in [(mine.k, ref.k), (mine.k_a, ref.k_a),
+                          (mine.k_aa, ref.k_aa)]:
+            assert np.max(np.abs(got - want)) <= 1e-13
+
     def test_series_tail_guard(self):
         with pytest.raises(SeriesTailError) as err:
             kernel_series(COS, 10.0, 1.0, 0.5, GRID, kmax=5)
@@ -293,10 +303,7 @@ class TestSmoothingRoutes:
         with counted_convolutions() as conv:
             kq = kernel_quadrature(ic, a_nu, 1.0, nux, GRID)
         assert conv.call_count == 0
-        # K_aa's harmonic k carries I_{k-2}, two orders past K's own
-        # truncation, which the default kmax misses at small z (2.6e-10 at
-        # z = 0.0078); 48 orders cover every z <= 10
-        ks = kernel_series(ic, a_nu, 1.0, nux, GRID, kmax=48)
+        ks = kernel_series(ic, a_nu, 1.0, nux, GRID)
         for mine, other in [(kq.k, ks.k), (kq.k_a, ks.k_a), (kq.k_aa, ks.k_aa)]:
             assert np.max(np.abs(mine - other)) <= 1e-10
 

@@ -48,6 +48,34 @@ DECAYING = (1.0, 0.0, 0.0, -0.5)   # exp(d) = exp(-zeta/2), 1e-7 at the cap
 DECAYING_NEAR_CAP = (1.0, -2.5, 1.0, -1.0)
 BAND = (2.0, 2.0, 0.5 * (1.0 + 1e-13), 1.0)   # inside the degenerate band
 
+PROFILES = [
+    P.ConstantProfile(),
+    P.ExponentialProfile(-0.1),
+    P.ExponentialProfile(0.25),
+    P.SphericalProfile(1.5),
+    P.SphericalProfile(-4.0),
+    P.PowerLawProfile(1.0, 2.0, 1.0),
+    P.PowerLawProfile(2.0, -0.5, 1.5),
+    P.BetaFamilyProfile(1.0, 0.5, 0.25, 0.8),
+    P.BetaFamilyProfile(1.0, 0.1, 0.0, -0.1),
+    rippled_duct(),
+    P.BetaFamilyProfile(*NEAR_CAP),
+    P.BetaFamilyProfile(*DECAYING),
+    P.BetaFamilyProfile(*DECAYING_NEAR_CAP),
+    P.PowerLawProfile(1.0, -3.0, 1.0),   # x_max = 0.5 and zeta_max = 1/3
+]
+
+# (name, takes nu first, maps zeta rather than x)
+PUBLIC_MAPS = [
+    ("area", False, False),
+    ("area_derivative", False, False),
+    ("zeta_of_x", False, False),
+    ("x_of_zeta", False, True),
+    ("mu", True, False),
+    ("mu_x_over_mu", False, False),
+    ("mu_of_zeta", True, True),
+]
+
 
 class TestArea:
     def test_spherical_unit_radius(self):
@@ -87,21 +115,7 @@ class TestCoordinateMap:
         assert prof.zeta_of_x(5.0) == 5.0
         assert prof.x_of_zeta(5.0) == 5.0
 
-    @pytest.mark.parametrize("prof", [
-        P.ConstantProfile(),
-        P.ExponentialProfile(-0.1),
-        P.ExponentialProfile(0.25),
-        P.SphericalProfile(1.5),
-        P.SphericalProfile(-4.0),
-        P.PowerLawProfile(1.0, 2.0, 1.0),
-        P.PowerLawProfile(2.0, -0.5, 1.5),
-        P.BetaFamilyProfile(1.0, 0.5, 0.25, 0.8),
-        P.BetaFamilyProfile(1.0, 0.1, 0.0, -0.1),
-        rippled_duct(),
-        P.BetaFamilyProfile(*NEAR_CAP),
-        P.BetaFamilyProfile(*DECAYING),
-        P.BetaFamilyProfile(*DECAYING_NEAR_CAP),
-    ])
+    @pytest.mark.parametrize("prof", PROFILES)
     def test_round_trip(self, prof):
         hi = min(prof.x_max * 0.8 if math.isfinite(prof.x_max) else 3.0, 3.0)
         xs = np.linspace(0.0, hi, 17)
@@ -118,6 +132,28 @@ class TestCoordinateMap:
         hi = min(prof.x_max * 0.8 if math.isfinite(prof.x_max) else 4.0, 4.0)
         zs = prof.zeta_of_x(np.linspace(0.0, hi, 300))
         assert np.all(np.diff(zs) > 0)
+
+    @pytest.mark.parametrize("name,nu_first,on_zeta", PUBLIC_MAPS,
+                             ids=[m[0] for m in PUBLIC_MAPS])
+    @pytest.mark.parametrize("prof", PROFILES)
+    def test_public_map_checks_domain_and_returns_floats(
+            self, prof, name, nu_first, on_zeta):
+        method = getattr(prof, name)
+        call = (lambda v: method(0.7, v)) if nu_first else method
+        end = prof.zeta_max if on_zeta else prof.x_max
+        beyond = [-1e-12]
+        if math.isfinite(end):
+            beyond.append(end * (1.0 + 1e-12))
+            if prof.zeta_open if on_zeta else prof.x_open:
+                beyond.append(end)   # a singular end is not in the domain
+        for v in beyond:
+            with pytest.raises(DomainError):
+                call(v)
+        hi = 0.5 * end if math.isfinite(end) else 1.0
+        pts = np.linspace(0.0, hi, 6).reshape(2, 3)
+        assert type(call(pts[0, 1])) is float
+        out = call(pts)
+        assert isinstance(out, np.ndarray) and out.shape == pts.shape
 
     def test_zeta_derivative_is_inverse_root_area(self):
         # d(zeta)/dx = 1/sqrt(S): finite-difference cross-check
@@ -356,42 +392,6 @@ class TestTabulatedProfile:
     def test_rejects_unnormalized_section(self):
         with pytest.raises(ConfigError):
             P.TabulatedProfile(np.linspace(0, 1, 5), np.full(5, 2.0))
-
-
-class TestBetaProfileTable:
-    def test_exponential_branch(self):
-        # beta1/M = -1: S(x) = exp(2 M x / beta0)
-        m, b0 = -0.5, 2.0
-        table = P.beta_profile_table((b0, -m, 0.0, m), (0.5, 2.0), n=21)
-        s, zeta, x = table.T
-        assert np.max(np.abs(s - np.exp(2.0 * m * x / b0))) <= 1e-12
-
-    def test_identity_row_at_unit_section(self):
-        table = P.beta_profile_table((1.0, 0.5, 0.0, 1.0), (1.0, 3.0), n=9)
-        assert table[0, 0] == 1.0
-        assert abs(table[0, 1]) <= 1e-14 and abs(table[0, 2]) <= 1e-14
-
-    @pytest.mark.parametrize("betas,s_range", [
-        ((1.0, 2.0, 0.0, 1.0), (0.6, 2.5)),    # power-law branch
-        ((1.0, 0.5, 0.0, -0.5), (0.5, 1.8)),
-        ((1.0, 0.0, 1.0, 1.0), (0.5, 2.0)),    # arctan branch, quadrature x
-        ((2.0, 0.0, 0.5, -1.0), (0.7, 1.6)),
-    ])
-    def test_chain_rule_consistency(self, betas, s_range):
-        # independent oracle: d(zeta)/dx = 1/sqrt(S) on the emitted table
-        table = P.beta_profile_table(betas, s_range, n=2001)
-        s, zeta, x = table.T
-        dzdx = np.gradient(zeta, x, edge_order=2)
-        err = np.abs(dzdx * np.sqrt(s) - 1.0)
-        assert np.max(err[2:-2]) <= 1e-6
-
-    def test_cos_zero_detected(self):
-        with pytest.raises(SingularProfileError):
-            P.beta_profile_table((1.0, 0.0, 1.0, 0.1), (0.5, 2.0))
-
-    def test_unsupported_branch_rejected(self):
-        with pytest.raises(ConfigError):
-            P.beta_profile_table((1.0, 1.0, 1.0, 1.0), (0.5, 2.0))
 
 
 class TestLoadProfileTable:

@@ -8,11 +8,10 @@ import pytest
 from hornwave.errors import ConfigError, ResolutionError, SpacingError
 from hornwave.grid import TauGrid
 from hornwave.kernel import InitialCondition, kernel_quadrature
-from hornwave.profiles import ConstantProfile, ExponentialProfile, SphericalProfile
+from hornwave.profiles import ConstantProfile, ExponentialProfile
 from hornwave.rg import PhysParams, zero_order
 from hornwave.solver import (
     SolverConfig,
-    p_from_u,
     residual,
     solve,
     spectral_derivative,
@@ -92,14 +91,6 @@ class TestDerivativeHelpers:
         g = TauGrid.periodic_default(64)
         out = spectral_derivative(np.sin(3 * g.tau), g)
         assert np.max(np.abs(out - 3.0 * np.cos(3 * g.tau))) <= 1e-12
-
-    def test_p_identity_on_unit_section(self):
-        u = np.linspace(-1, 1, 8)
-        assert np.array_equal(p_from_u(u, ConstantProfile(), 2.0), u)
-
-    def test_p_halves_on_doubled_radius(self):
-        u = np.ones(8)
-        assert np.allclose(p_from_u(u, SphericalProfile(1.0), 1.0), 0.5, atol=1e-15)
 
 
 class TestResidual:
