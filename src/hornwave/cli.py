@@ -18,7 +18,7 @@ import configparser
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,25 +145,35 @@ def station_filename(index):
 
 @dataclass(frozen=True)
 class InvariantSpec:
-    """Parsed [invariant] section: duct, route, and evaluation patch."""
+    """Parsed [invariant] section: duct, route, and evaluation patch.
+
+    The orbit route builds its W ``table`` once, after the branch check; a
+    sample count as ``grid`` then means one orbit period of that many.
+    """
 
     config: InvariantConfig
     route: str
     zeta: tuple
-    grid: TauGrid
+    grid: TauGrid | int
+    table: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         b0, b1, b2, m = self.config.betas
-        if self.route == "orbit" and (b2 != 0.0 or b1 != -m):
-            raise ConfigError(
-                "the orbit route needs the constant-flare branch "
-                "(beta2 = 0, beta1 = -M)")
-
-    def orbit(self):
-        """The orbit route's periodic W table."""
-        return first_integral_solution(
-            self.config.betas[3], self.config.params.a, self.config.c0,
-            c1=self.config.c1, nu=self.config.params.nu)
+        if self.route == "orbit":
+            if b2 != 0.0 or b1 != -m:
+                raise ConfigError(
+                    "the orbit route needs the constant-flare branch "
+                    "(beta2 = 0, beta1 = -M)")
+            table = first_integral_solution(
+                m, self.config.params.a, self.config.c0,
+                c1=self.config.c1, nu=self.config.params.nu)
+            object.__setattr__(self, "table", table)
+        if isinstance(self.grid, int):
+            if self.route != "orbit":
+                raise ConfigError(
+                    "[invariant] needs a window or period for the ode route")
+            object.__setattr__(self, "grid", TauGrid(
+                n=self.grid, period=self.table.period * math.sqrt(b0)))
 
 
 @dataclass(frozen=True)
@@ -317,14 +327,8 @@ def _build_invariant(cp, params) -> InvariantSpec | None:
                                 _need(cp, "invariant", "window_hi"), n)
     elif period is not None:
         grid = TauGrid(n=n, period=period)
-    elif route != "orbit":
-        raise ConfigError("[invariant] needs a window or period for the ode route")
     else:
-        # one orbit period; the orbit exists only once the spec has passed
-        # its branch check
-        spec = InvariantSpec(config=config, route=route, zeta=zeta, grid=TauGrid(n=n))
-        return replace(spec, grid=TauGrid(n=n, period=spec.orbit().period
-                                          * math.sqrt(betas[0])))
+        grid = n
     return InvariantSpec(config=config, route=route, zeta=zeta, grid=grid)
 
 
@@ -418,10 +422,11 @@ def run(config: RunConfig):
             bucket.update(values)
 
     if want_march:
-        solver_cfg = SolverConfig(n=grid.n, tol=config.tol, stations=x_stations)
-        marched = solve(config.ic, config.params, config.profile, solver_cfg)
-        for bucket, field in zip(per_station, marched.fields):
-            bucket["qnum"] = field
+        solver_cfg = SolverConfig(tol=config.tol, stations=x_stations)
+        marched = solve(config.ic, config.params, config.profile, grid,
+                        solver_cfg)
+        for bucket, values in zip(per_station, marched.fields):
+            bucket["qnum"] = values
 
     written = []
     ordered = [f for f in _FIELD_ORDER if f in config.outputs]
@@ -495,9 +500,8 @@ def run_invariant(config: RunConfig):
     if spec is None:
         raise ConfigError("config has no [invariant] section")
     betas = spec.config.betas
-    if spec.route == "orbit":
-        table = spec.orbit()
-    else:
+    table = spec.table
+    if spec.route == "ode":
         lam_lo, lam_hi = 0.0, 0.0
         for z in spec.zeta:
             lam, _ = similarity_vars(betas, z, spec.grid.tau)
@@ -510,9 +514,9 @@ def run_invariant(config: RunConfig):
     fields = [assemble_invariant_q(spec.config, z, spec.grid, table)
               for z in spec.zeta]
     written = []
-    for i, field in enumerate(fields):
+    for i, values in enumerate(fields):
         written.append(_write_csv(config.out / station_filename(i),
-                                  ["tau", "qinv"], [spec.grid.tau, field]))
+                                  ["tau", "qinv"], [spec.grid.tau, values]))
     written.append(_write_csv(
         config.out / "summary.csv",
         ["station", "zeta", "max_abs_qinv"],

@@ -380,14 +380,20 @@ def _signal_exponential(ic, a, nu, grid, min_points=0.0):
 
     The caller's grid is doubled until it has min_points samples and then
     until the spectrum of e has decayed to rounding at Nyquist.  W is
-    sampled on the working grid and exponentiated there.
+    sampled on the working grid and exponentiated there; an exponent past
+    the double range raises RangeOverflowError, which no refinement fixes.
     """
     fine = grid
     while fine.n < min_points:
         fine = fine.refined(2)
     for _ in range(_MAX_REFINEMENTS + 1):
         w = ic.sample(fine)
-        e = np.exp((a / nu) * w)
+        with np.errstate(over="ignore"):
+            e = np.exp((a / nu) * w)
+        if not np.all(np.isfinite(e)):
+            raise RangeOverflowError(
+                f"exp(a W / nu) overflows at a/nu = {a / nu:g}, "
+                f"max aW/nu = {(a / nu) * np.max(w):g}")
         spec = np.abs(np.fft.rfft(e))
         if max(spec[-1], spec[-2]) <= _SPECTRUM_TAIL_RTOL * spec.max():
             return fine, w, e

@@ -1,6 +1,6 @@
 """Marching numerical solver used as the independent oracle.
 
-Solves either evolution form on a periodic grid:
+Solves either evolution form on the periodic grid the caller passes:
 
     q-form   q_z = a (q_tau)^2 + mu(z) q_tautau
     u-form   u_z = a u u_tau   + mu(z) u_tautau     (u = 2 q_tau)
@@ -49,15 +49,14 @@ _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 _SAFETY = 0.9
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _PI_ALPHA, _PI_BETA = 0.17, 0.08
+_MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    n: int = 256
     tol: float = 1e-8
     stations: Sequence[float] = (1.0,)
     form: str = "q"
-    max_steps: int = 200_000
 
     def __post_init__(self):
         if self.form not in ("q", "u"):
@@ -91,9 +90,8 @@ def u_from_q(values, grid: TauGrid):
 
 
 def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
-          config: SolverConfig) -> SolverResult:
-    grid = TauGrid.periodic_default(config.n)
-    kap = grid.wavenumbers()
+          grid: TauGrid, config: SolverConfig) -> SolverResult:
+    kap = grid.wavenumbers()                  # ConfigError if windowed
     kap2 = kap * kap
     mask = np.ones(kap.size)
     mask[kap.size - (grid.n // 2 - grid.n // 3):] = 0.0   # 2/3-rule cutoff
@@ -130,9 +128,9 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
     steps = 0
 
     while nxt < len(z_st):
-        if steps >= config.max_steps:
+        if steps >= _MAX_STEPS:
             raise ResolutionError(
-                f"step budget {config.max_steps} exhausted at zeta = {zeta:g}",
+                f"step budget {_MAX_STEPS} exhausted at zeta = {zeta:g}",
                 suggested_n=2 * grid.n)
         hitting = z_st[nxt] - zeta <= h
         if hitting:

@@ -1,18 +1,20 @@
 """Command-line front end: parsing, file formats, determinism, exit codes."""
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hornwave import cli
 from hornwave.cli import (ComparisonReport, InvariantSpec, RunConfig, compare,
                           fig_config, load_config, main, read_field_table,
                           read_initial_table, read_profile_file, run,
                           station_filename)
 from hornwave.errors import ConfigError
 from hornwave.grid import TauGrid
-from hornwave.invariant import InvariantConfig
+from hornwave.invariant import InvariantConfig, first_integral_solution
 from hornwave.kernel import InitialCondition
 from hornwave.profiles import ExponentialProfile
 from hornwave.rg import PhysParams
@@ -182,6 +184,84 @@ out = {tmp_path / 'restart'}
         np.testing.assert_allclose(echoed, read_field_table(source)["qnum"],
                                    rtol=0.0, atol=1e-13)
 
+    def test_signal_of_any_period_feeds_every_field(self, tmp_path):
+        # a 64-sample signal of period 7: every field, the march included,
+        # is written on the signal's own grid
+        grid = TauGrid(64, period=7.0)
+        theta = 2.0 * np.pi * grid.tau / 7.0
+        signal = tmp_path / "signal.csv"
+        signal.write_text("tau,w\n" + "".join(
+            f"{t:.17g},{w:.17g}\n" for t, w in
+            zip(grid.tau, np.cos(theta) + 0.3 * np.sin(2.0 * theta))))
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[profile]
+kind = exponential
+alpha = -0.1
+[initial]
+kind = table
+path = {signal}
+column = w
+[run]
+stations = 0.2, 0.5
+outputs = q0, q1, qpt, qnum
+grid_n = 64
+out = {tmp_path / 'p7'}
+""")
+        assert main(["run", "--config", str(path)]) == 0
+        cols = read_field_table(tmp_path / "p7" / station_filename(1))
+        assert list(cols) == ["tau", "q0", "q1", "qpt", "qnum"]
+        np.testing.assert_allclose(cols["tau"], grid.tau, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(cols["qnum"] - cols["q1"])) <= 1e-3
+
+    def test_invariant_station_file_starts_a_march(self, tmp_path):
+        # the exact orbit-route field at zeta = 0, marched down the duct it
+        # lives on (x = log1p(zeta)), lands on the exact field downstream
+        zetas = (0.0, 0.1, 0.2)
+        inv = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[invariant]
+beta0 = 1.0
+beta1 = 1.0
+beta2 = 0.0
+m = -1.0
+route = orbit
+c0 = -0.1
+zeta_start = 0.0
+zeta_stop = 0.2
+zeta_count = 3
+grid_n = 64
+[run]
+out = {tmp_path / 'inv'}
+""", name="inv.ini")
+        assert main(["invariant", "--config", str(inv)]) == 0
+        stations = ", ".join(repr(math.log1p(z)) for z in zetas)
+        march = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[profile]
+kind = exponential
+alpha = -1.0
+[initial]
+kind = table
+path = {tmp_path / 'inv' / station_filename(0)}
+column = qinv
+[run]
+stations = {stations}
+outputs = q1, qnum
+grid_n = 64
+tol = 1e-10
+out = {tmp_path / 'march'}
+""", name="march.ini")
+        assert main(["run", "--config", str(march)]) == 0
+        for i in range(len(zetas)):
+            exact = read_field_table(tmp_path / "inv" / station_filename(i))
+            marched = read_field_table(tmp_path / "march" / station_filename(i))
+            gap = np.max(np.abs(marched["qnum"] - exact["qinv"]))
+            assert gap <= 1e-9 * np.max(np.abs(exact["qinv"]))
+
     def test_profile_csv_reloads_as_duct(self, tmp_path):
         path = write_config(tmp_path, f"""
 [params]
@@ -300,6 +380,37 @@ out = {tmp_path / 'inv'}
         assert list(cols) == ["tau", "qinv"]
         summary = read_field_table(tmp_path / "inv" / "summary.csv")
         assert summary["zeta"].size == 16
+
+    def test_invariant_orbit_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return first_integral_solution(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "first_integral_solution", counted)
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[invariant]
+beta0 = 1.0
+beta1 = 1.0
+beta2 = 0.0
+m = -1.0
+route = orbit
+c0 = -0.1
+zeta_start = 0.0
+zeta_stop = 0.4
+zeta_count = 4
+grid_n = 64
+[run]
+out = {tmp_path / 'inv'}
+""")
+        assert main(["invariant", "--config", str(path)]) == 0
+        assert len(calls) == 1
+        cols = read_field_table(tmp_path / "inv" / station_filename(0))
+        period = first_integral_solution(-1.0, 1.0, -0.1).period
+        np.testing.assert_allclose(cols["tau"][1] * 64, period, rtol=1e-12)
 
     def test_invariant_orbit_needs_constant_flare(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""

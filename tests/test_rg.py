@@ -6,13 +6,15 @@ elementary, so the whole path-integral stack is checked end to end.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hornwave import kernel as kernel_module
 from hornwave import rg
-from hornwave.errors import BreakdownError, ConfigError, DomainError
+from hornwave.errors import (BreakdownError, ConfigError, DomainError,
+                             RangeOverflowError)
 from hornwave.grid import TauGrid
 from hornwave.kernel import InitialCondition, bessel_i, kernel_quadrature
 from hornwave.profiles import ConstantProfile, ExponentialProfile
@@ -206,6 +208,18 @@ class TestEvaluateStation:
         kf = kernel_quadrature(COS, 1.0, 1.0, 0.4, GRID)
         assert np.max(np.abs(sol.q0 - zero_order(params, FLARE, kf))) == 0.0
 
+
+    @pytest.mark.parametrize("field", ["q0", "q1"])
+    def test_signal_exponential_overflow_is_named(self, field):
+        # exp(a W / nu) = exp(800) is past the double range: no working
+        # grid can fix that, so it fails at once, without numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflowError,
+                               match=r"a/nu = 800, max aW/nu = 800"):
+                evaluate_station(PhysParams(800.0, 1.0), FLARE, COS, 1.0,
+                                 TauGrid.periodic_default(1024),
+                                 fields=(field,))
 
 class TestPathIntegralNodes:
     @pytest.mark.parametrize("field", ["q1", "qpt"])

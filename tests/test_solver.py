@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hornwave import solver
 from hornwave.errors import ConfigError, ResolutionError, SpacingError
 from hornwave.grid import TauGrid
 from hornwave.kernel import InitialCondition, kernel_quadrature
@@ -21,6 +22,7 @@ from hornwave.solver import (
 COS = InitialCondition.harmonic()
 CHANNEL = ConstantProfile()
 FLARE = ExponentialProfile(-0.1)
+GRID = TauGrid.periodic_default(256)
 
 
 class TestConfig:
@@ -39,24 +41,26 @@ class TestConfig:
 
 class TestMarch:
     def test_pure_heat_decay(self):
-        r = solve(COS, PhysParams(0.0, 1.0), CHANNEL, SolverConfig(stations=(1.0,)))
+        r = solve(COS, PhysParams(0.0, 1.0), CHANNEL, GRID,
+                  SolverConfig(stations=(1.0,)))
         assert abs(r.fields[0][0] - math.exp(-1.0)) <= 1e-7
 
     def test_cole_hopf_exact_channel(self):
         # the zero-order field is exact when mu is constant, so the solver
         # must land on it to within its own accuracy
         params = PhysParams(1.0, 1.0)
-        r = solve(COS, params, CHANNEL, SolverConfig(stations=(0.5, 2.0)))
+        r = solve(COS, params, CHANNEL, GRID, SolverConfig(stations=(0.5, 2.0)))
         for x, f in zip(r.x_stations, r.fields):
             kf = kernel_quadrature(COS, 1.0, 1.0, x, r.grid)
             assert np.max(np.abs(f - zero_order(params, CHANNEL, kf))) <= 1e-4
 
     def test_station_zero_returns_signal(self):
-        r = solve(COS, PhysParams(1.0, 1.0), FLARE, SolverConfig(stations=(0.0, 0.5)))
+        r = solve(COS, PhysParams(1.0, 1.0), FLARE, GRID,
+                  SolverConfig(stations=(0.0, 0.5)))
         assert np.max(np.abs(r.fields[0] - np.cos(r.grid.tau))) <= 1e-14
 
     def test_mean_conservation_u_form(self):
-        r = solve(COS, PhysParams(1.0, 1.0), CHANNEL,
+        r = solve(COS, PhysParams(1.0, 1.0), CHANNEL, GRID,
                   SolverConfig(stations=(0.5, 1.0, 2.0, 4.0), form="u"))
         u0 = u_from_q(np.cos(r.grid.tau), r.grid)
         for f in r.fields:
@@ -64,21 +68,29 @@ class TestMarch:
 
     def test_spectral_convergence(self):
         params = PhysParams(1.0, 1.0)
-        coarse = solve(COS, params, FLARE, SolverConfig(n=128, stations=(2.0,)))
-        fine = solve(COS, params, FLARE, SolverConfig(n=256, stations=(2.0,)))
+        coarse, fine = (solve(COS, params, FLARE, TauGrid.periodic_default(n),
+                              SolverConfig(stations=(2.0,)))
+                        for n in (128, 256))
         assert np.max(np.abs(coarse.fields[0] - fine.fields[0][::2])) <= 1e-8
 
     def test_forms_agree_through_derivative(self):
         params = PhysParams(2.0, 1.0)
-        rq = solve(COS, params, FLARE, SolverConfig(stations=(1.0,)))
-        ru = solve(COS, params, FLARE, SolverConfig(stations=(1.0,), form="u"))
+        rq = solve(COS, params, FLARE, GRID, SolverConfig(stations=(1.0,)))
+        ru = solve(COS, params, FLARE, GRID, SolverConfig(stations=(1.0,), form="u"))
         assert np.max(np.abs(u_from_q(rq.fields[0], rq.grid) - ru.fields[0])) <= 1e-7
 
-    def test_step_budget_error(self):
-        with pytest.raises(ResolutionError) as err:
-            solve(COS, PhysParams(1.0, 1.0), FLARE,
-                  SolverConfig(stations=(2.0,), max_steps=5))
+    def test_step_budget_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_STEPS", 5)
+        with pytest.raises(ResolutionError, match="step budget 5 exhausted") as err:
+            solve(COS, PhysParams(1.0, 1.0), FLARE, GRID,
+                  SolverConfig(stations=(2.0,)))
         assert err.value.suggested_n == 512
+
+    def test_windowed_grid_rejected(self):
+        with pytest.raises(ConfigError, match="periodic grids only"):
+            solve(COS, PhysParams(1.0, 1.0), FLARE,
+                  TauGrid.windowed(-math.pi, math.pi, 256),
+                  SolverConfig(stations=(1.0,)))
 
 
 class TestDerivativeHelpers:
@@ -101,7 +113,7 @@ class TestResidual:
         dz = 2e-4
         zline = np.arange(1.0 - 2 * dz, 1.0 + 2.5 * dz, dz)
         xs = tuple(float(FLARE.x_of_zeta(z)) for z in zline)
-        r = solve(COS, params, FLARE, SolverConfig(tol=1e-8, stations=xs))
+        r = solve(COS, params, FLARE, GRID, SolverConfig(tol=1e-8, stations=xs))
         assert residual(r.fields, zline, params, FLARE, r.grid) <= 1e-7
 
     def test_constant_field_is_exact(self):
