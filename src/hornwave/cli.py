@@ -349,14 +349,16 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
 
     stations = (1.0,)
     outputs = ("q1", "qnum")
-    grid_n, file_tol, quad_rtol = 256, 1e-8, 1e-6
+    # a tabulated signal brings its own grid; a generated one gets 256 points
+    grid_n = ic.grid.n if ic.kind == "tabulated" else 256
+    file_tol, quad_rtol = 1e-8, 1e-6
     out_dir = Path("hornwave_out")
     if cp.has_section("run"):
         if cp.has_option("run", "stations"):
             stations = _need(cp, "run", "stations", _float_list)
         if cp.has_option("run", "outputs"):
             outputs = _need(cp, "run", "outputs", _name_list)
-        grid_n = _opt(cp, "run", "grid_n", 256, int)
+        grid_n = _opt(cp, "run", "grid_n", grid_n, int)
         file_tol = _opt(cp, "run", "tol", 1e-8)
         quad_rtol = _opt(cp, "run", "quad_rtol", 1e-6)
         out_dir = Path(_opt(cp, "run", "out", "hornwave_out", str).strip())

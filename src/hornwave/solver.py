@@ -17,6 +17,16 @@ pair, PI step control, and 2/3-rule dealiasing of the quadratic product.
 The additive gauge freedom of the q potential is fixed to zero; the mean
 of q then evolves by the (q_tau)^2 average, which the k = 0 mode of the
 nonlinear term supplies automatically.
+
+Each step evaluates the stage-pair decays it uses in one ``exp`` call.
+A decay below exp(-708) = 3.3e-308, just above the smallest normal
+double, is stored as an exact zero: numpy's vectorized ``exp`` leaves
+its fast path for every result that underflows, and each product with
+a subnormal factor is slow again.  Such a decay is too small to move a
+stage sum of the field's own scale.  The dealiased nonlinear term reads
+and returns only the modes below the 2/3-rule cutoff, so the stage sums
+are carried on that band alone; only the proposal carries the modes
+above it, which decay and take no nonlinear forcing.
 """
 
 from __future__ import annotations
@@ -45,6 +55,19 @@ _A = [
 ]
 _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
+
+# (j, i) stage pairs a step uses: (0, i) carries the state into stage i,
+# (j, i) each nonzero a_ij.  The nonzero error weights use pairs (j, 6)
+# from this list and (6, 6), whose decay is exactly 1.
+_PAIRS = [(j, i) for i in range(1, 7)
+          for j, aij in enumerate(_A[i]) if j == 0 or aij != 0.0]
+_STAGE_J = [[j for j, aij in enumerate(row) if aij != 0.0] for row in _A]
+_A_ROWS = [_PAIRS.index((j, i)) for i in range(7) for j in _STAGE_J[i]]
+_A_COEF = np.array([_A[i][j] for i in range(7) for j in _STAGE_J[i]])
+_ERR_J = [j for j in range(6) if _ERR[j] != 0.0]
+_ERR_ROWS = [_PAIRS.index((j, 6)) for j in _ERR_J]
+_PAIR_J, _PAIR_I = np.array(_PAIRS).T
+_EXP_FLOOR = -708.0         # smaller decays are stored as exact zeros
 
 _SAFETY = 0.9
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
@@ -77,6 +100,7 @@ class SolverResult:
     zeta_stations: Tuple[float, ...]
     fields: List[np.ndarray] = field(default_factory=list)
     steps: int = 0
+    """Attempted steps: accepted plus rejected."""
 
 
 def spectral_derivative(values, grid: TauGrid):
@@ -92,20 +116,20 @@ def u_from_q(values, grid: TauGrid):
 def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
           grid: TauGrid, config: SolverConfig) -> SolverResult:
     kap = grid.wavenumbers()                  # ConfigError if windowed
-    kap2 = kap * kap
-    mask = np.ones(kap.size)
-    mask[kap.size - (grid.n // 2 - grid.n // 3):] = 0.0   # 2/3-rule cutoff
+    nk2 = -params.nu * (kap * kap)
+    m = kap.size - (grid.n // 2 - grid.n // 3)   # 2/3-rule band [0, m)
+    ik = (1j * kap)[:m]
+    n_band = len(_PAIRS) * m
 
     a = params.a
     if config.form == "q":
-        def nonlinear(spec):
-            grad = np.fft.irfft(1j * kap * spec * mask, n=grid.n)
-            return np.fft.rfft(a * grad * grad) * mask
+        def nonlinear(band):
+            grad = np.fft.irfft(ik * band, n=grid.n)
+            return np.fft.rfft(a * grad * grad)[:m]
     else:
-        def nonlinear(spec):
-            vals = np.fft.irfft(spec * mask, n=grid.n)
-            grad = np.fft.irfft(1j * kap * spec * mask, n=grid.n)
-            return np.fft.rfft(a * vals * grad) * mask
+        def nonlinear(band):
+            vals, grad = np.fft.irfft(np.stack((band, ik * band)), n=grid.n)
+            return np.fft.rfft(a * vals * grad)[:m]
 
     w = ic.sample(grid)
     state = np.fft.rfft(w if config.form == "q" else u_from_q(w, grid))
@@ -124,7 +148,7 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
     h = min(1e-4 * max(span, 1.0), span / 100.0)
     h_floor = max(1e-13, 1e-11 * span)
     err_prev = 1.0
-    n_tail = nonlinear(state)     # FSAL seed
+    n_tail = nonlinear(state[:m])     # FSAL seed
     steps = 0
 
     while nxt < len(z_st):
@@ -141,31 +165,48 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
         zs[-1] = zeta + h
         xs = np.asarray(profile.x_of_zeta(zs), dtype=float)
 
-        def decay(j, i):
-            return np.exp(-params.nu * kap2 * (xs[i] - xs[j]))
+        # one exp: every stage pair on the band, then pair (0, 6) above it
+        arg = np.empty(n_band + nk2.size - m)
+        np.multiply(nk2[:m], (xs[_PAIR_I] - xs[_PAIR_J])[:, None],
+                    out=arg[:n_band].reshape(-1, m))
+        np.multiply(nk2[m:], xs[6] - xs[0], out=arg[n_band:])
+        dec = np.zeros_like(arg)
+        np.exp(arg, out=dec, where=arg >= _EXP_FLOOR)
+        band_dec, tail_dec = dec[:n_band].reshape(-1, m), dec[n_band:]
+        stage_w = (h * _A_COEF)[:, None] * band_dec[_A_ROWS]
+        err_w = _ERR[_ERR_J][:, None] * band_dec[_ERR_ROWS]
 
         n_stage = [n_tail]
+        t = 0
         for i in range(1, 7):
-            acc = decay(0, i) * state
-            for j, aij in enumerate(_A[i]):
-                if aij != 0.0:
-                    acc = acc + (h * aij) * decay(j, i) * n_stage[j]
+            acc = band_dec[_A_ROWS[t]] * state[:m]   # pair (0, i): a_i0 != 0
+            for j in _STAGE_J[i]:
+                acc += stage_w[t] * n_stage[j]
+                t += 1
             n_stage.append(nonlinear(acc))
-            if i == 6:
-                proposal = acc
 
-        err_spec = h * sum(_ERR[j] * decay(j, 6) * n_stage[j] for j in range(7))
-        err = np.max(np.abs(np.fft.irfft(err_spec, n=grid.n)))
-        scale = config.tol * (1.0 + np.max(np.abs(np.fft.irfft(proposal, n=grid.n))))
+        err_band = err_w[0] * n_stage[_ERR_J[0]]
+        for wt, j in zip(err_w[1:], _ERR_J[1:]):
+            err_band += wt * n_stage[j]
+        err_band += _ERR[6] * n_stage[6]
+
+        # error and proposal spectra, inverted together
+        spec = np.zeros((2, nk2.size), dtype=complex)
+        spec[0, :m] = h * err_band
+        spec[1, :m] = acc
+        np.multiply(tail_dec, state[m:], out=spec[1, m:])
+        err_vals, proposal_vals = np.fft.irfft(spec, n=grid.n)
+        err = np.max(np.abs(err_vals))
+        scale = config.tol * (1.0 + np.max(np.abs(proposal_vals)))
         ratio = err / scale
         steps += 1
 
         if ratio <= 1.0:
             zeta += h
-            state = proposal
+            state = spec[1]
             n_tail = n_stage[6]
             if hitting:
-                result_fields.append(np.fft.irfft(state, n=grid.n))
+                result_fields.append(proposal_vals)
                 nxt += 1
             fac = _SAFETY * max(ratio, 1e-10) ** -_PI_ALPHA * err_prev ** _PI_BETA
             err_prev = max(ratio, 1e-10)

@@ -215,6 +215,50 @@ out = {tmp_path / 'p7'}
         np.testing.assert_allclose(cols["tau"], grid.tau, rtol=0.0, atol=1e-15)
         assert np.max(np.abs(cols["qnum"] - cols["q1"])) <= 1e-3
 
+    def test_tabulated_signal_sets_grid_n(self, tmp_path):
+        inv = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[invariant]
+beta0 = 1.0
+beta1 = 1.0
+beta2 = 0.0
+m = -1.0
+route = orbit
+c0 = -0.1
+zeta_start = 0.0
+zeta_stop = 0.0
+zeta_count = 1
+grid_n = 64
+[run]
+out = {tmp_path / 'inv'}
+""", name="inv.ini")
+        assert main(["invariant", "--config", str(inv)]) == 0
+
+        def march(name, grid_line):
+            return write_config(tmp_path, f"""
+[params]
+a = 1.0
+[profile]
+kind = exponential
+alpha = -1.0
+[initial]
+kind = table
+path = {tmp_path / 'inv' / station_filename(0)}
+column = qinv
+[run]
+stations = 0.0, 0.1
+outputs = q0, qnum
+{grid_line}
+out = {tmp_path / name}
+""", name=f"{name}.ini")
+
+        assert main(["run", "--config", str(march("implicit", ""))]) == 0
+        assert main(["run", "--config", str(march("explicit", "grid_n = 64"))]) == 0
+        assert tree_digest(tmp_path / "implicit") == tree_digest(tmp_path / "explicit")
+        # a grid_n the signal does not have is still a config error
+        assert main(["run", "--config", str(march("other", "grid_n = 128"))]) == 2
+
     def test_invariant_station_file_starts_a_march(self, tmp_path):
         # the exact orbit-route field at zeta = 0, marched down the duct it
         # lives on (x = log1p(zeta)), lands on the exact field downstream

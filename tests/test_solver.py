@@ -12,7 +12,17 @@ from hornwave.kernel import InitialCondition, kernel_quadrature
 from hornwave.profiles import ConstantProfile, ExponentialProfile
 from hornwave.rg import PhysParams, zero_order
 from hornwave.solver import (
+    _A,
+    _C,
+    _ERR,
+    _FAC_MAX,
+    _FAC_MIN,
+    _MAX_STEPS,
+    _PI_ALPHA,
+    _PI_BETA,
+    _SAFETY,
     SolverConfig,
+    SolverResult,
     residual,
     solve,
     spectral_derivative,
@@ -23,6 +33,104 @@ COS = InitialCondition.harmonic()
 CHANNEL = ConstantProfile()
 FLARE = ExponentialProfile(-0.1)
 GRID = TauGrid.periodic_default(256)
+
+
+def _reference_solve(ic, params, profile, grid, config):
+    """The march step as one full-width decay per stage pair and use.
+
+    ``solve`` must reproduce it bit for bit: same tableau, step control
+    and order of every floating-point addition.
+    """
+    kap = grid.wavenumbers()
+    kap2 = kap * kap
+    mask = np.ones(kap.size)
+    mask[kap.size - (grid.n // 2 - grid.n // 3):] = 0.0   # 2/3-rule cutoff
+
+    a = params.a
+    if config.form == "q":
+        def nonlinear(spec):
+            grad = np.fft.irfft(1j * kap * spec * mask, n=grid.n)
+            return np.fft.rfft(a * grad * grad) * mask
+    else:
+        def nonlinear(spec):
+            vals = np.fft.irfft(spec * mask, n=grid.n)
+            grad = np.fft.irfft(1j * kap * spec * mask, n=grid.n)
+            return np.fft.rfft(a * vals * grad) * mask
+
+    w = ic.sample(grid)
+    state = np.fft.rfft(w if config.form == "q" else u_from_q(w, grid))
+
+    x_st = config.stations
+    z_st = [float(profile.zeta_of_x(x)) for x in x_st]
+    result_fields = []
+
+    zeta = 0.0
+    nxt = 0
+    if z_st[0] == 0.0:
+        result_fields.append(np.fft.irfft(state, n=grid.n))
+        nxt = 1
+
+    span = z_st[-1] if z_st[-1] > 0.0 else 1.0
+    h = min(1e-4 * max(span, 1.0), span / 100.0)
+    h_floor = max(1e-13, 1e-11 * span)
+    err_prev = 1.0
+    n_tail = nonlinear(state)     # FSAL seed
+    steps = 0
+
+    while nxt < len(z_st):
+        if steps >= _MAX_STEPS:
+            raise ResolutionError(
+                f"step budget {_MAX_STEPS} exhausted at zeta = {zeta:g}",
+                suggested_n=2 * grid.n)
+        hitting = z_st[nxt] - zeta <= h
+        if hitting:
+            h = z_st[nxt] - zeta
+
+        # physical x at the stage points; differences feed the decay factors
+        zs = zeta + _C * h
+        zs[-1] = zeta + h
+        xs = np.asarray(profile.x_of_zeta(zs), dtype=float)
+
+        def decay(j, i):
+            return np.exp(-params.nu * kap2 * (xs[i] - xs[j]))
+
+        n_stage = [n_tail]
+        for i in range(1, 7):
+            acc = decay(0, i) * state
+            for j, aij in enumerate(_A[i]):
+                if aij != 0.0:
+                    acc = acc + (h * aij) * decay(j, i) * n_stage[j]
+            n_stage.append(nonlinear(acc))
+            if i == 6:
+                proposal = acc
+
+        err_spec = h * sum(_ERR[j] * decay(j, 6) * n_stage[j] for j in range(7))
+        err = np.max(np.abs(np.fft.irfft(err_spec, n=grid.n)))
+        scale = config.tol * (1.0 + np.max(np.abs(np.fft.irfft(proposal, n=grid.n))))
+        ratio = err / scale
+        steps += 1
+
+        if ratio <= 1.0:
+            zeta += h
+            state = proposal
+            n_tail = n_stage[6]
+            if hitting:
+                result_fields.append(np.fft.irfft(state, n=grid.n))
+                nxt += 1
+            fac = _SAFETY * max(ratio, 1e-10) ** -_PI_ALPHA * err_prev ** _PI_BETA
+            err_prev = max(ratio, 1e-10)
+        else:
+            fac = _SAFETY * ratio ** -_PI_ALPHA
+        h *= min(_FAC_MAX, max(_FAC_MIN, fac))
+        if h < h_floor:
+            raise ResolutionError(
+                f"step size collapsed to {h:.3e} at zeta = {zeta:g}; "
+                "the solution is too sharp for this grid",
+                suggested_n=2 * grid.n)
+
+    return SolverResult(grid=grid, form=config.form,
+                        x_stations=tuple(x_st), zeta_stations=tuple(z_st),
+                        fields=result_fields, steps=steps)
 
 
 class TestConfig:
@@ -85,6 +193,26 @@ class TestMarch:
             solve(COS, PhysParams(1.0, 1.0), FLARE, GRID,
                   SolverConfig(stations=(2.0,)))
         assert err.value.suggested_n == 512
+
+    @pytest.mark.parametrize("n, a, x_stop, form", [
+        *((n, a, x, form) for form in "qu" for n, a, x in (
+            (64, 10.0, 2.0), (256, 10.0, 0.5), (1024, 1.0, 2.0),
+            (4096, 1.0, 2.0), (64, 50.0, 1.0))),
+        (4096, 10.0, 0.5, "q"), (1024, 50.0, 0.1, "q")])
+    def test_matches_reference_march(self, n, a, x_stop, form):
+        # tol 1e-6 keeps the reference short; at a = 1 its steps are long
+        # enough for stage-pair decays to underflow on most of the band
+        # from n = 1024
+        grid = TauGrid.periodic_default(n)
+        config = SolverConfig(tol=1e-6, stations=(0.0, x_stop / 2, x_stop),
+                              form=form)
+        for profile in (CHANNEL, FLARE):
+            args = (COS, PhysParams(a, 1.0), profile, grid, config)
+            got, want = solve(*args), _reference_solve(*args)
+            assert got.steps == want.steps
+            assert len(got.fields) == len(want.fields) == 3
+            for f_got, f_want in zip(got.fields, want.fields):
+                assert f_got.tobytes() == f_want.tobytes()
 
     def test_windowed_grid_rejected(self):
         with pytest.raises(ConfigError, match="periodic grids only"):
