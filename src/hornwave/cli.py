@@ -26,8 +26,7 @@ import numpy as np
 from .errors import ConfigError, HornWaveError
 from .grid import TWO_PI, TauGrid
 from .invariant import (InvariantConfig, assemble_invariant_q,
-                        first_integral_solution, integrate_factor_ode,
-                        similarity_vars)
+                        first_integral_solution, integrate_factor_ode)
 from .kernel import InitialCondition
 from .profiles import (BetaFamilyProfile, ConstantProfile, ExponentialProfile,
                        PowerLawProfile, Profile, SphericalProfile,
@@ -44,19 +43,14 @@ _LAMBDA_PAD = 1.01
 # ---------------------------------------------------------------------------
 # CSV plumbing
 
-def _fmt(value):
-    return "%.17g" % float(value)
-
-
 def _write_csv(path: Path, names, columns):
     """One header row, 17-significant-digit cells, LF endings."""
-    columns = [np.atleast_1d(np.asarray(c)) for c in columns]
-    rows = [",".join(names)]
-    for i in range(columns[0].size):
-        rows.append(",".join(_fmt(c[i]) for c in columns))
+    table = np.column_stack([np.atleast_1d(np.asarray(c)) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (row * table.shape[0]) % tuple(table.ravel().tolist())
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+        handle.write(",".join(names) + "\n" + body)
     return path
 
 
@@ -114,9 +108,10 @@ def read_initial_table(path, column="qnum", periodic=True):
 
 
 def read_profile_file(path) -> TabulatedProfile:
-    """Accepts either the plain two-column ``x S`` format or the CSV the
-    ``profile`` subcommand writes (columns x and area).  The first row is
-    a CSV header only when it does not parse as numbers."""
+    """Accepts the plain two-column ``x S`` format, separated by blanks or
+    by commas, or the CSV the ``profile`` subcommand writes (columns x and
+    area).  The first row is a CSV header only when it does not parse as
+    numbers under either separator."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"profile table {path} does not exist")
@@ -125,15 +120,17 @@ def read_profile_file(path) -> TabulatedProfile:
         if line.strip() and not line.lstrip().startswith("#"):
             first = line
             break
-    try:
-        np.array(first.split(), dtype=float)
-    except ValueError:
-        cols = read_field_table(path)
-        for need in ("x", "area"):
-            if need not in cols:
-                raise ConfigError(f"{path} has no column {need!r}")
-        return TabulatedProfile(cols["x"], cols["area"])
-    return load_profile_table(path)
+    for sep in (None, ","):
+        try:
+            np.array(first.split(sep), dtype=float)
+        except ValueError:
+            continue
+        return load_profile_table(path, delimiter=sep)
+    cols = read_field_table(path)
+    for need in ("x", "area"):
+        if need not in cols:
+            raise ConfigError(f"{path} has no column {need!r}")
+    return TabulatedProfile(cols["x"], cols["area"])
 
 
 def station_filename(index):
@@ -504,17 +501,15 @@ def run_invariant(config: RunConfig):
     betas = spec.config.betas
     table = spec.table
     if spec.route == "ode":
-        lam_lo, lam_hi = 0.0, 0.0
-        for z in spec.zeta:
-            lam, _ = similarity_vars(betas, z, spec.grid.tau)
-            lam_lo = min(lam_lo, float(np.min(lam)))
-            lam_hi = max(lam_hi, float(np.max(lam)))
-        table = integrate_factor_ode(
-            spec.config, max(lam_hi, 1e-6) * _LAMBDA_PAD,
-            lambda_min=min(lam_lo, 0.0) * _LAMBDA_PAD)
+        def table(lam):
+            # the factor ODE covers the lam span of every station, padded
+            ode = integrate_factor_ode(
+                spec.config, max(float(np.max(lam)), 1e-6) * _LAMBDA_PAD,
+                lambda_min=min(float(np.min(lam)), 0.0) * _LAMBDA_PAD)
+            return ode(lam)
 
-    fields = [assemble_invariant_q(spec.config, z, spec.grid, table)
-              for z in spec.zeta]
+    fields = assemble_invariant_q(spec.config, np.asarray(spec.zeta),
+                                  spec.grid, table)
     written = []
     for i, values in enumerate(fields):
         written.append(_write_csv(config.out / station_filename(i),
@@ -523,7 +518,7 @@ def run_invariant(config: RunConfig):
         config.out / "summary.csv",
         ["station", "zeta", "max_abs_qinv"],
         [np.arange(len(spec.zeta)), np.asarray(spec.zeta),
-         np.array([np.max(np.abs(f)) for f in fields])]))
+         np.max(np.abs(fields), axis=1)]))
 
     defect = None
     if len(spec.zeta) >= 3:

@@ -322,21 +322,30 @@ def nested_area_integral(betas, zeta):
 
 def assemble_invariant_q(config: InvariantConfig, zeta, tau_grid: TauGrid,
                          w_table):
-    """Evaluate the shape-preserving field at one station.
+    """Evaluate the shape-preserving field at one station or several.
 
         q = e^d [ W(lam) - (beta2 / 2a) (zeta lam^2 / 2 + nu F(zeta)) ]
 
-    ``w_table`` is any callable W(lam) (ODE table or orbit).  With
-    beta2 = 0 the bracket collapses to W alone; at zeta = 0 both the
-    gain and the correction vanish and q is W(tau / sqrt(beta0)).
+    ``w_table`` is any callable W(lam) (ODE table or orbit); it is called
+    once, on the stacked lam of every station.  ``zeta`` may be a 1-d
+    array of stations, giving one row per station; a scalar gives one
+    row.  With beta2 = 0 the bracket collapses to W alone; at zeta = 0
+    both the gain and the correction vanish and q is W(tau / sqrt(beta0)).
     """
-    b2 = config.betas[2]
-    lam, d = similarity_vars(config.betas, zeta, tau_grid.tau)
+    zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
+    lam, d = zip(*(similarity_vars(config.betas, z, tau_grid.tau)
+                   for z in zetas))
+    lam = np.stack(lam)
+    gain = np.array([math.exp(di) for di in d])[:, None]
     w = np.asarray(w_table(lam), dtype=float)
+    b2 = config.betas[2]
     if b2 == 0.0:
-        return math.exp(d) * w
-    a = config.params.a
-    nu = config.params.nu
-    correction = 0.5 * zeta * lam * lam \
-        + nu * nested_area_integral(config.betas, zeta)
-    return math.exp(d) * (w - (b2 / (2.0 * a)) * correction)
+        q = gain * w
+    else:
+        a = config.params.a
+        nu = config.params.nu
+        area = np.array([nested_area_integral(config.betas, z)
+                         for z in zetas])[:, None]
+        correction = 0.5 * zetas[:, None] * lam * lam + nu * area
+        q = gain * (w - (b2 / (2.0 * a)) * correction)
+    return q if np.ndim(zeta) else q[0]

@@ -432,9 +432,11 @@ class TabulatedProfile(_TableMapProfile):
         self._tabulate_map(x, lambda t: 1.0 / np.sqrt(interp(t)), from_x=True)
 
 
-def load_profile_table(path) -> TabulatedProfile:
-    """Read a two-column ``x S`` text file ('#' comments) into a profile."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+def load_profile_table(path, delimiter=None) -> TabulatedProfile:
+    """Read a two-column ``x S`` text file ('#' comments) into a profile.
+
+    Columns are separated by blanks, or by ``delimiter`` when given."""
+    data = np.loadtxt(path, comments="#", ndmin=2, delimiter=delimiter)
     if data.shape[1] != 2:
         raise ConfigError(
             f"profile table must have two columns (x, S), got {data.shape[1]}")

@@ -141,14 +141,19 @@ def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
                           "windowed")
     fine = grid.refined(2)
     wn = ic.sample(fine) / nu
-
-    def k_a(xp):
-        return heat_propagate(wn, fine, nu, xp)[::2]
-
-    base_a = k_a(x)
+    base_a = heat_propagate(wn, fine, nu, x)[::2]
     if params.a == 0.0:
         return nu * base_a
     base_aa = heat_propagate(wn * wn, fine, nu, x)[::2]
+    # the nodes repeat heat_propagate's arithmetic on one spectrum
+    spec = np.fft.rfft(wn)
+    k = fine.wavenumbers()
+
+    def k_a(xp):
+        if xp == 0.0:
+            return wn[::2]
+        return np.fft.irfft(spec * np.exp(-nu * k * k * xp), n=fine.n)[::2]
+
     tail = _convolved_path_integral(
         profile, lambda xp, mu_p: (nu / mu_p) * k_a(xp) ** 2, x, grid, nu,
         rtol=quad_rtol)

@@ -112,7 +112,44 @@ class TestConfigParsing:
         assert config.grid_n == 256
 
 
+def _reference_write_csv(path, names, columns):
+    """The per-cell CSV writer: ``_write_csv`` must write the same bytes."""
+    columns = [np.atleast_1d(np.asarray(c)) for c in columns]
+    rows = [",".join(names)]
+    for i in range(columns[0].size):
+        rows.append(",".join("%.17g" % float(c[i]) for c in columns))
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(rows) + "\n")
+    return path
+
+
+class _CountingTable:
+    """A W table that records the shape of every evaluation."""
+
+    def __init__(self, table, calls):
+        self._table, self._calls = table, calls
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+    def __call__(self, lam):
+        self._calls.append(np.shape(lam))
+        return self._table(lam)
+
+
 class TestCsvFormat:
+
+    @pytest.mark.parametrize("columns", [
+        [np.arange(6), np.array([-0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 7.0])],
+        [np.arange(3), 7 * np.arange(3)],
+        [np.array([2.5]), np.array([-0.0])],
+        [np.float64(0.1), 3],
+    ], ids=["awkward-floats", "integers-only", "one-row", "scalars"])
+    def test_writer_matches_per_cell_reference(self, tmp_path, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        got = cli._write_csv(tmp_path / "got.csv", names, columns)
+        want = _reference_write_csv(tmp_path / "want.csv", names, columns)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_column_order_is_canonical(self, tmp_path):
         # config lists qnum first; the file keeps the schema order
@@ -325,14 +362,17 @@ out = {tmp_path / 'p'}
         np.testing.assert_allclose(duct.area(xs), (1.0 + 0.5 * xs) ** 2,
                                    rtol=1e-7)
 
-    # %.18e is np.savetxt's default; its exponent letter is not a header
-    @pytest.mark.parametrize("fmt", ["%.12g", "%.18e"],
-                             ids=["short", "savetxt-default"])
-    def test_plain_two_column_profile_accepted(self, tmp_path, fmt):
+    # %.18e is np.savetxt's default; its exponent letter is not a header,
+    # and neither is a first row of comma-separated numbers
+    @pytest.mark.parametrize("fmt, delimiter",
+                             [("%.12g", " "), ("%.18e", " "), ("%.18e", ",")],
+                             ids=["short", "savetxt-default", "comma"])
+    def test_plain_two_column_profile_accepted(self, tmp_path, fmt,
+                                               delimiter):
         xs = np.linspace(0.0, 2.0, 41)
         table = tmp_path / "duct.dat"
         np.savetxt(table, np.column_stack([xs, np.exp(0.3 * xs)]), fmt=fmt,
-                   header="test duct")
+                   delimiter=delimiter, header="test duct")
         duct = read_profile_file(table)
         np.testing.assert_allclose(duct.area(1.0), np.exp(0.3), rtol=1e-6)
 
@@ -455,6 +495,35 @@ out = {tmp_path / 'inv'}
         cols = read_field_table(tmp_path / "inv" / station_filename(0))
         period = first_integral_solution(-1.0, 1.0, -0.1).period
         np.testing.assert_allclose(cols["tau"][1] * 64, period, rtol=1e-12)
+
+    @pytest.mark.parametrize("route, builder, section", [
+        ("orbit", "first_integral_solution",
+         "beta1 = 1.0\nbeta2 = 0.0\nm = -1.0\nc0 = -0.1\n"
+         "zeta_start = 0.0\nzeta_stop = 0.4\n"),
+        ("ode", "integrate_factor_ode",
+         "beta1 = 0.0\nbeta2 = 1.0\nm = 1.0\nw0 = 0.3\n"
+         "zeta_start = 0.3\nzeta_stop = 0.8\n"
+         "window_lo = -1.0\nwindow_hi = 1.0\n"),
+    ], ids=["orbit", "ode"])
+    def test_invariant_w_table_called_once(self, tmp_path, monkeypatch,
+                                           route, builder, section):
+        calls = []
+        build = getattr(cli, builder)
+        monkeypatch.setattr(cli, builder, lambda *args, **kwargs:
+                            _CountingTable(build(*args, **kwargs), calls))
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[invariant]
+beta0 = 1.0
+route = {route}
+{section}zeta_count = 8
+grid_n = 64
+[run]
+out = {tmp_path / 'inv'}
+""")
+        assert main(["invariant", "--config", str(path)]) == 0
+        assert calls == [(8, 64)]
 
     def test_invariant_orbit_needs_constant_flare(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""

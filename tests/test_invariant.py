@@ -375,6 +375,35 @@ class TestAssembly:
         fields = [assemble_invariant_q(cfg, z, grid, orbit) for z in zetas]
         assert residual(fields, zetas, cfg.params, profile, grid) < 2e-5
 
+    @pytest.mark.parametrize("route", ["ode", "orbit"])
+    def test_stations_in_one_call_match_one_at_a_time(self, route):
+        if route == "ode":   # beta2 != 0 adds the correction bracket
+            cfg = InvariantConfig(betas=(1.0, 0.0, 1.0, 1.0), params=UNIT,
+                                  w0=0.3, w0_slope=0.0)
+            table = integrate_factor_ode(cfg, 0.9, lambda_min=-0.9)
+            grid = TauGrid.windowed(-1.0, 1.0, 128)
+            zetas = np.linspace(0.3, 0.8, 16)
+        else:
+            cfg = InvariantConfig(betas=(1.0, 1.0, 0.0, -1.0), params=UNIT,
+                                  c0=-0.1)
+            table = first_integral_solution(-1.0, 1.0, -0.1)
+            grid = TauGrid(n=128, period=table.period)
+            zetas = np.linspace(0.0, 0.4, 16)
+        calls = []
+
+        def counted(lam):
+            calls.append(np.shape(lam))
+            return table(lam)
+
+        batch = assemble_invariant_q(cfg, zetas, grid, counted)
+        assert calls == [(zetas.size, grid.n)]
+        assert batch.shape == (zetas.size, grid.n)
+        scale = np.max(np.abs(batch))
+        for z, row in zip(zetas, batch):
+            one = assemble_invariant_q(cfg, z, grid, table)
+            assert one.shape == (grid.n,)
+            assert np.max(np.abs(row - one)) <= 1e-15 * scale
+
     def test_coverage_error_when_window_exceeds_table(self):
         betas = (1.0, 0.0, 1.0, 1.0)
         cfg = InvariantConfig(betas=betas, params=UNIT, w0=0.3, w0_slope=0.0)

@@ -46,6 +46,27 @@ def small_amplitude_oracle(a, nu, alpha, x, tau):
     return math.exp(-nu * x) * np.cos(tau) + (a / (2 * nu)) * half
 
 
+def _reference_perturbative(params, profile, ic, x, grid):
+    """qpt with one ``heat_propagate`` call per path-integral node.
+
+    ``perturbative`` takes the spectrum once per station instead and must
+    reproduce this bit for bit.
+    """
+    nu, fine = params.nu, grid.refined(2)
+    wn = ic.sample(fine) / nu
+
+    def k_a(xp):
+        return kernel_module.heat_propagate(wn, fine, nu, xp)[::2]
+
+    base_a = k_a(x)
+    base_aa = kernel_module.heat_propagate(wn * wn, fine, nu, x)[::2]
+    tail = rg._convolved_path_integral(
+        profile, lambda xp, mu_p: (nu / mu_p) * k_a(xp) ** 2, x, grid, nu,
+        rtol=1e-6)
+    half = base_aa - (nu / profile.mu(nu, x)) * base_a * base_a - tail
+    return nu * base_a + 0.5 * nu * params.a * half
+
+
 class TestPhysParams:
     def test_reynolds(self):
         assert PhysParams(a=3.0, nu=1.5).reynolds == 2.0
@@ -106,6 +127,12 @@ class TestSmallAmplitude:
                            COS, x, GRID)
         ref = small_amplitude_oracle(a, nu, -0.1, x, GRID.tau)
         assert np.max(np.abs(qpt - ref)) <= 1e-8
+
+    @pytest.mark.parametrize("a,nu,x", [(0.3, 1.0, 0.5), (0.2, 0.7, 1.3)])
+    def test_matches_per_node_heat_propagation(self, a, nu, x):
+        args = (PhysParams(a, nu), FLARE, COS, x, GRID)
+        assert perturbative(*args).tobytes() \
+            == _reference_perturbative(*args).tobytes()
 
     def test_zero_amplitude_heat_limit(self):
         qpt = perturbative(PhysParams(0.0, 1.0), FLARE, COS, 0.8, GRID)
