@@ -73,8 +73,8 @@ def read_field_table(path):
     return {name: data[:, i].copy() for i, name in enumerate(names)}
 
 
-def _grid_from_tau(tau, periodic):
-    """Rebuild the sampling grid from written tau values.
+def _grid_from_tau(tau):
+    """Rebuild the periodic sampling grid from written tau values.
 
     Round-tripped floats carry +-1 ulp of noise, so the periodic period
     snaps to 2 pi (the engine's cell) when within 1e-9 of it.
@@ -85,8 +85,6 @@ def _grid_from_tau(tau, periodic):
     dt = np.diff(tau)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
         raise ConfigError("tau samples are not uniformly spaced")
-    if not periodic:
-        return TauGrid.windowed(float(tau[0]), float(tau[-1]), tau.size)
     period = float(dt.mean() * tau.size)
     if abs(period - TWO_PI) < 1e-9 * TWO_PI:
         period = TWO_PI
@@ -96,14 +94,14 @@ def _grid_from_tau(tau, periodic):
     return TauGrid(n=tau.size, period=period, start=start)
 
 
-def read_initial_table(path, column="qnum", periodic=True):
-    """Initial condition from a station CSV written by this tool."""
+def read_initial_table(path, column="qnum"):
+    """Periodic initial condition from a station CSV written by this tool."""
     cols = read_field_table(path)
     if "tau" not in cols:
         raise ConfigError(f"{path} has no tau column")
     if column not in cols:
         raise ConfigError(f"{path} has no column {column!r}")
-    grid = _grid_from_tau(cols["tau"], periodic)
+    grid = _grid_from_tau(cols["tau"])
     return InitialCondition.tabulated(cols[column], grid)
 
 
@@ -211,6 +209,31 @@ class RunConfig:
         object.__setattr__(self, "out", Path(self.out))
 
 
+_SECTIONS = ("params", "profile", "initial", "run", "invariant")
+
+
+class _TrackingParser(configparser.ConfigParser):
+    """Remembers each (section, key) the loader reads, so that a setting
+    it never reads (a typo, or a key another kind would use) is refused."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#", ";"))
+        self.read_keys = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+    def reject_unread(self, path):
+        for section in self.sections():
+            for key in self.options(section):
+                if (section, key) not in self.read_keys:
+                    raise ConfigError(
+                        f"{path}: unknown or unused setting [{section}] {key}")
+            if section not in _SECTIONS:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+
+
 def _need(cp, section, key, cast=float):
     if not cp.has_option(section, key):
         raise ConfigError(f"missing [{section}] {key}")
@@ -274,18 +297,8 @@ def _build_initial(cp) -> InitialCondition:
     if kind == "table":
         return read_initial_table(
             _need(cp, "initial", "path", str).strip(),
-            column=_opt(cp, "initial", "column", "qnum", str).strip(),
-            periodic=_opt(cp, "initial", "periodic", True, _parse_bool))
+            column=_opt(cp, "initial", "column", "qnum", str).strip())
     raise ConfigError(f"unknown initial kind {kind!r}")
-
-
-def _parse_bool(raw):
-    val = str(raw).strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
 
 
 def _build_invariant(cp, params) -> InvariantSpec | None:
@@ -334,7 +347,7 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = _TrackingParser()
     try:
         cp.read(path)
     except configparser.Error as err:
@@ -360,7 +373,7 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
         quad_rtol = _opt(cp, "run", "quad_rtol", 1e-6)
         out_dir = Path(_opt(cp, "run", "out", "hornwave_out", str).strip())
 
-    return RunConfig(
+    config = RunConfig(
         params=params, profile=profile, ic=ic, stations=stations,
         outputs=outputs, grid_n=grid_n,
         tol=tol if tol is not None else file_tol,
@@ -372,6 +385,8 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
         if cp.has_section("profile") else None,
         profile_x_count=_opt(cp, "profile", "x_count", 129, int)
         if cp.has_section("profile") else 129)
+    cp.reject_unread(path)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +405,6 @@ def run(config: RunConfig):
     want_march = "qnum" in config.outputs
 
     if config.ic.kind == "tabulated":
-        if not config.ic.grid.periodic:
-            raise ConfigError("station runs need a periodic initial condition")
         grid = config.ic.grid
         if grid.n != config.grid_n:
             raise ConfigError(

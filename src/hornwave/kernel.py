@@ -11,29 +11,28 @@ separate: a quadrature route valid for any signal, and a modified Bessel
 series valid for a pure harmonic.  Tests compare them against each other;
 production code may use either.
 
-On a periodic grid the quadrature route builds e = exp(a W / nu) once on a
-working grid that resolves it, then smooths it in one of two ways, chosen
-from e alone.  When e.max() / e.min() is at most _FFT_RANGE_LIMIT, it
-multiplies the spectrum by exp(-nu k^2 x).  Above that, it keeps the
-direct trapezoid sum with clipped, nonnegative weights, because only that
-sum keeps K positive when e spans many decades.  kernel_quadrature returns
-K and its amplitude derivatives at one station; kernel_k returns K alone
-as a function of the station, for the first-order path integral.
+On a periodic grid the quadrature route has one path, kernel_k.  It builds
+e = exp(a W / nu) once on a working grid that resolves it, then smooths it
+with heat_smoother in one of two ways, chosen from e alone.  When
+e.max() / e.min() is at most _FFT_RANGE_LIMIT, it multiplies the spectrum
+by exp(-nu k^2 x).  Above that, it keeps the direct trapezoid sum with
+clipped, nonnegative weights, because only that sum keeps K positive when
+e spans many decades.  kernel_quadrature reads K at one station from that
+evaluator.
 
-Derivatives of K in the amplitude parameter a come from the same smoothing
-of (W/nu) e and (W/nu)^2 e.  At a = 0 they reduce to heat propagation,
-which the perturbative solution takes from heat_propagate.
+The quadrature route computes K alone, plus dK/da at a = 0, where K is 1
+and dK/da is the heat smoothing of W/nu.  The amplitude derivatives at
+a > 0 come from kernel_series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc
 
 from ._quadrature import adaptive_quad
@@ -194,7 +193,7 @@ class InitialCondition:
     """Signal shape W(tau) imposed at the throat (x = 0).
 
     Three flavors: a pure harmonic (enables the Bessel-series kernel),
-    tabulated samples on a grid, or an arbitrary callable.
+    tabulated samples on a periodic grid, or an arbitrary callable.
     """
 
     kind: str
@@ -204,7 +203,6 @@ class InitialCondition:
     grid: Optional[TauGrid] = None
     func: Optional[Callable] = None
     window: Optional[Tuple[float, float]] = None
-    _interp: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def harmonic(cls, amplitude=1.0, phase=0.0):
@@ -212,18 +210,16 @@ class InitialCondition:
 
     @classmethod
     def tabulated(cls, values, grid: TauGrid):
+        if not grid.periodic:
+            raise ConfigError("a signal table needs a periodic grid; "
+                              "this grid is windowed")
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
             raise ConfigError(
                 f"signal table has shape {values.shape}, grid wants ({grid.n},)")
         if not np.all(np.isfinite(values)):
             raise ConfigError("signal table contains non-finite entries")
-        ic = cls(kind="tabulated", values=values, grid=grid,
-                 window=None if grid.periodic else grid.window)
-        if not grid.periodic:
-            object.__setattr__(ic, "_interp",
-                               PchipInterpolator(grid.tau, values, extrapolate=False))
-        return ic
+        return cls(kind="tabulated", values=values, grid=grid)
 
     @classmethod
     def from_callable(cls, func, window=None):
@@ -235,7 +231,7 @@ class InitialCondition:
         return self.kind == "harmonic"
 
     def __call__(self, tau):
-        """Pointwise evaluation; tabulated signals interpolate."""
+        """Pointwise evaluation; tabulated signals interpolate spectrally."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "harmonic":
             out = self.amplitude * np.cos(tau - self.phase)
@@ -244,11 +240,7 @@ class InitialCondition:
             if out.shape != tau.shape:
                 out = np.broadcast_to(out, tau.shape).astype(float)
         else:
-            if self.grid.periodic:
-                out = self._trig_eval(tau)
-            else:
-                out = self._interp(tau)
-                out = np.where(np.isnan(out), 0.0, out)  # zero outside the window
+            out = self._trig_eval(tau)
         return float(out) if out.ndim == 0 else out
 
     def _trig_eval(self, tau):
@@ -267,10 +259,8 @@ class InitialCondition:
             src = self.grid
             if grid == src:
                 return self.values.copy()
-            if not (src.periodic and grid.periodic):
-                raise ConfigError("windowed signal tables cannot be resampled")
-            if (grid.period != src.period or grid.start != src.start
-                    or grid.n % src.n != 0):
+            if (not grid.periodic or grid.period != src.period
+                    or grid.start != src.start or grid.n % src.n != 0):
                 raise ConfigError(
                     "tabulated signal can only be resampled onto a refinement "
                     "of its own grid")
@@ -296,15 +286,19 @@ def _resample_periodic(values, n_new):
 
 @dataclass(frozen=True)
 class KernelField:
-    """K, dK/da, d2K/da2 sampled on a grid at one station x."""
+    """K, dK/da, d2K/da2 sampled on a grid at one station x.
+
+    kernel_series fills all three.  kernel_quadrature fills K, and dK/da
+    only at a = 0; the fields it does not compute are None.
+    """
 
     a: float
     nu: float
     x: float
     grid: TauGrid
     k: np.ndarray
-    k_a: np.ndarray
-    k_aa: np.ndarray
+    k_a: Optional[np.ndarray] = None
+    k_aa: Optional[np.ndarray] = None
 
 
 def _check_params(a, nu, x):
@@ -317,28 +311,25 @@ def _check_params(a, nu, x):
 
 
 def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
-    """Kernel field: the signal exponential convolved with the heat kernel.
+    """Kernel field at station x: K, plus dK/da at a = 0.
 
-    Periodic grids sample W on a working grid, refined until the smoothing
-    weights at x and the exponential e = exp(a W / nu) are resolved to
-    rounding, and smooth e, (W/nu) e and (W/nu)^2 e there: spectrally when
-    e.max() / e.min() is at most _FFT_RANGE_LIMIT, otherwise by the direct
-    trapezoid sum with clipped weights, which keeps K positive however many
-    decades e spans.  Windowed grids fall back to adaptive quadrature and
-    require the Gaussian mass outside the window to be negligible.
+    On a periodic grid K is the kernel_k evaluator's value at x, so the
+    working grid and the smoothing route are decided there alone.  At
+    a = 0, K is 1 and dK/da is the heat smoothing of W/nu on the caller's
+    grid; at a > 0 the derivatives are left to kernel_series.  Windowed
+    grids fall back to adaptive quadrature and require the Gaussian mass
+    outside the window to be negligible.
     """
     _check_params(a, nu, x)
     if not grid.periodic:
         return _kernel_windowed(ic, a, nu, x, grid)
-    fine, w, e = _signal_exponential(ic, a, nu, grid,
-                                     _weight_points(grid, nu, x))
-    spectral = _spectral_route(e)
-    wn = w / nu
-    step = fine.n // grid.n
-    k, k_a, k_aa = (_heat_smoother(f, fine, nu, spectral)(x)[::step]
-                    for f in (e, wn * e, wn * wn * e))
+    if a == 0.0:
+        wn = ic.sample(grid) / nu
+        k, k_a = np.ones(grid.n), heat_smoother(wn, grid, nu, True)(x)
+    else:
+        k, k_a = kernel_k(ic, a, nu, grid)(x), None
     return KernelField(a=float(a), nu=float(nu), x=float(x), grid=grid,
-                       k=k, k_a=k_a, k_aa=k_aa)
+                       k=k, k_a=k_a)
 
 
 def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
@@ -352,17 +343,17 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     _check_params(a, nu, 0.0)
     if not grid.periodic:
         raise ConfigError("the K evaluator needs a periodic grid")
-    fine, _, e = _signal_exponential(ic, a, nu, grid)
+    fine, e = _signal_exponential(ic, a, nu, grid)
     spectral = _spectral_route(e)
-    smooth = _heat_smoother(e, fine, nu, spectral)
+    smooth = heat_smoother(e, fine, nu, spectral)
 
     def k_at(x):
         _check_params(a, nu, x)
         need = _weight_points(grid, nu, x)
         if spectral or need <= fine.n:
             return smooth(x)[::fine.n // grid.n]
-        fine_x, _, e_x = _signal_exponential(ic, a, nu, grid, need)
-        return _heat_smoother(e_x, fine_x, nu, False)(x)[::fine_x.n // grid.n]
+        fine_x, e_x = _signal_exponential(ic, a, nu, grid, need)
+        return heat_smoother(e_x, fine_x, nu, False)(x)[::fine_x.n // grid.n]
 
     return k_at
 
@@ -376,12 +367,14 @@ def _weight_points(grid, nu, x):
 
 
 def _signal_exponential(ic, a, nu, grid, min_points=0.0):
-    """Working grid, W and e = exp(a W / nu) for the periodic kernel.
+    """Working grid and e = exp(a W / nu) for the periodic kernel.
 
     The caller's grid is doubled until it has min_points samples and then
-    until the spectrum of e has decayed to rounding at Nyquist.  W is
-    sampled on the working grid and exponentiated there; an exponent past
-    the double range raises RangeOverflowError, which no refinement fixes.
+    until every bin in the upper half of the spectrum of e has decayed to
+    rounding: a spectrum on multiples of some p can leave the bins next to
+    Nyquist empty while its aliases land on others.  W is sampled on the
+    working grid and exponentiated there; an exponent past the double range
+    raises RangeOverflowError, which no refinement fixes.
     """
     fine = grid
     while fine.n < min_points:
@@ -395,8 +388,8 @@ def _signal_exponential(ic, a, nu, grid, min_points=0.0):
                 f"exp(a W / nu) overflows at a/nu = {a / nu:g}, "
                 f"max aW/nu = {(a / nu) * np.max(w):g}")
         spec = np.abs(np.fft.rfft(e))
-        if max(spec[-1], spec[-2]) <= _SPECTRUM_TAIL_RTOL * spec.max():
-            return fine, w, e
+        if spec[spec.size // 2:].max() <= _SPECTRUM_TAIL_RTOL * spec.max():
+            return fine, e
         fine = fine.refined(2)
     raise ResolutionError(
         "signal exponential not band-limited on any working grid",
@@ -408,14 +401,15 @@ def _spectral_route(e):
     return e.max() <= _FFT_RANGE_LIMIT * e.min()
 
 
-def _heat_smoother(f, fine, nu, spectral):
-    """x -> G(x) * f, heat smoothing of periodic samples on the working grid.
+def heat_smoother(f, grid: TauGrid, nu, spectral):
+    """x -> G(x) * f, heat smoothing of periodic samples on a grid.
 
     The spectral route takes the spectrum of f once and multiplies it by
-    exp(-nu kappa^2 x); its rounding error is a few eps max|f| everywhere.
-    The direct route sums f against the periodic Gaussian weights.
+    exp(-nu kappa^2 x), the arithmetic of heat_propagate; its rounding
+    error is a few eps max|f| everywhere.  The direct route sums f against
+    the periodic Gaussian weights.
     """
-    kappa = fine.wavenumbers()
+    kappa = grid.wavenumbers()
     spec = np.fft.rfft(f) if spectral else None
 
     def smooth(x):
@@ -423,11 +417,11 @@ def _heat_smoother(f, fine, nu, spectral):
             return f.copy()                    # delta limit of the Gaussian
         decay = np.exp(-nu * kappa * kappa * x)
         if spectral:
-            return np.fft.irfft(spec * decay, n=fine.n)
+            return np.fft.irfft(spec * decay, n=grid.n)
         # negative lobes are pure truncation noise; clipping them makes the
         # convolution a sum of nonnegative terms, so K stays positive even
         # when the signal exponential spans many decades
-        weights = np.maximum(np.fft.irfft(decay, n=fine.n), 0.0)
+        weights = np.maximum(np.fft.irfft(decay, n=grid.n), 0.0)
         return _circular_convolve(f, weights)
 
     return smooth
@@ -439,39 +433,35 @@ def _circular_convolve(values, weights):
 
 
 def _kernel_windowed(ic, a, nu, x, grid):
+    """K by adaptive quadrature on a windowed grid, plus dK/da at a = 0."""
     lo, hi = ic.window if ic.window is not None else (None, None)
     if lo is None:
         raise ConfigError("windowed kernel evaluation needs a signal window")
+
+    def weight(w):     # the one function of W smoothed; K is 1 at a = 0
+        return w / nu if a == 0.0 else np.expm1((a / nu) * w)
+
     if x == 0.0:
-        w = ic(grid.tau)
-        e = np.exp((a / nu) * w)
-        return KernelField(a=float(a), nu=float(nu), x=0.0, grid=grid,
-                           k=e, k_a=(w / nu) * e, k_aa=(w / nu) ** 2 * e)
-
-    sigma = math.sqrt(4.0 * nu * x)
-    tail = 0.5 * (erfc((hi - grid.tau) / sigma) + erfc((grid.tau - lo) / sigma))
-    worst = float(np.max(tail))
-    if worst > _WINDOW_MASS_LIMIT:
-        raise WindowTruncationError(
-            f"Gaussian mass {worst:.3e} outside the signal window "
-            f"[{lo:g}, {hi:g}]; widen the window or reduce x",
-            outside_mass=worst)
-
-    def make(weight):
-        def f(tau0):
-            return adaptive_quad(
-                lambda xi: weight(ic(xi)) * heat_kernel(x, tau0 - xi, nu),
-                lo, hi, rtol=1e-11)
-        return f
-
-    base = make(lambda w: math.expm1((a / nu) * w))
-    da = make(lambda w: (w / nu) * math.exp((a / nu) * w))
-    daa = make(lambda w: (w / nu) ** 2 * math.exp((a / nu) * w))
-    k = np.array([1.0 + base(t) for t in grid.tau])
-    k_a = np.array([da(t) for t in grid.tau])
-    k_aa = np.array([daa(t) for t in grid.tau])
+        smoothed = weight(ic(grid.tau))
+    else:
+        sigma = math.sqrt(4.0 * nu * x)
+        tail = 0.5 * (erfc((hi - grid.tau) / sigma)
+                      + erfc((grid.tau - lo) / sigma))
+        worst = float(np.max(tail))
+        if worst > _WINDOW_MASS_LIMIT:
+            raise WindowTruncationError(
+                f"Gaussian mass {worst:.3e} outside the signal window "
+                f"[{lo:g}, {hi:g}]; widen the window or reduce x",
+                outside_mass=worst)
+        smoothed = np.array([adaptive_quad(
+            lambda xi: weight(ic(xi)) * heat_kernel(x, t - xi, nu),
+            lo, hi, rtol=1e-11) for t in grid.tau])
+    if a == 0.0:
+        k, k_a = np.ones(grid.n), smoothed
+    else:
+        k, k_a = 1.0 + smoothed, None
     return KernelField(a=float(a), nu=float(nu), x=float(x), grid=grid,
-                       k=k, k_a=k_a, k_aa=k_aa)
+                       k=k, k_a=k_a)
 
 
 def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BreakdownError, ConfigError, DomainError, QuadratureError
 from .grid import TauGrid
-from .kernel import (InitialCondition, KernelField, heat_propagate, kernel_k,
+from .kernel import (InitialCondition, KernelField, heat_smoother, kernel_k,
                      kernel_quadrature)
 from .profiles import Profile
 
@@ -130,32 +130,26 @@ def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
     """Small-amplitude expansion through O(a); no logarithms, no breakdown.
 
     It needs the kernel only at a = 0, where K = 1 and the a-derivatives
-    K_a, K_aa are heat propagation of W/nu and (W/nu)^2.  W is sampled on
+    K_a, K_aa are heat smoothings of W/nu and (W/nu)^2.  W is sampled on
     the twice refined grid, so that its square does not alias, and both
     are decimated back to the caller's grid.  Periodic grids only.
     """
     x, nu = float(x), params.nu
+    if x < 0.0:
+        raise DomainError(f"station must be >= 0, got {x:g}")
     if not grid.periodic:
         raise ConfigError("qpt needs a periodic grid: its path integral and "
                           "heat propagation are spectral, and this grid is "
                           "windowed")
     fine = grid.refined(2)
     wn = ic.sample(fine) / nu
-    base_a = heat_propagate(wn, fine, nu, x)[::2]
+    k_a = heat_smoother(wn, fine, nu, True)
+    base_a = k_a(x)[::2]
     if params.a == 0.0:
         return nu * base_a
-    base_aa = heat_propagate(wn * wn, fine, nu, x)[::2]
-    # the nodes repeat heat_propagate's arithmetic on one spectrum
-    spec = np.fft.rfft(wn)
-    k = fine.wavenumbers()
-
-    def k_a(xp):
-        if xp == 0.0:
-            return wn[::2]
-        return np.fft.irfft(spec * np.exp(-nu * k * k * xp), n=fine.n)[::2]
-
+    base_aa = heat_smoother(wn * wn, fine, nu, True)(x)[::2]
     tail = _convolved_path_integral(
-        profile, lambda xp, mu_p: (nu / mu_p) * k_a(xp) ** 2, x, grid, nu,
+        profile, lambda xp, mu_p: (nu / mu_p) * k_a(xp)[::2] ** 2, x, grid, nu,
         rtol=quad_rtol)
     half = base_aa - (nu / profile.mu(nu, x)) * base_a * base_a - tail
     return nu * base_a + 0.5 * nu * params.a * half

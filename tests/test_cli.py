@@ -103,6 +103,47 @@ class TestConfigParsing:
         assert config.tol == 1e-6
         assert config.jobs == 3
 
+    @pytest.mark.parametrize("section,line", [
+        ("params", "nuu = 1.0"),
+        ("profile", "alpah = -0.2"),
+        ("profile", "radius = 2.0"),        # read only for kind = spherical
+        ("initial", "amplitud = 0.5"),
+        ("initial", "periodic = false"),    # windowed signal tables are gone
+        ("run", "station = 0.5, 2"),
+        ("invariant", "zeta_cont = 4"),
+        ("runs", "stations = 0.5"),
+    ])
+    def test_unread_setting_exits_2(self, tmp_path, capsys, section, line):
+        # a setting the loader never reads must not pass silently
+        sections = {
+            "params": ["a = 1.0"],
+            "profile": ["kind = exponential", "alpha = -0.1"],
+            "initial": ["kind = harmonic", "amplitude = 0.5"],
+            "run": ["stations = 0.5", "outputs = q0", "grid_n = 64",
+                    f"out = {tmp_path / 'data'}"],
+            "invariant": ["beta0 = 1.0", "beta1 = 1.0", "m = -1.0",
+                          "c0 = -0.1", "zeta_start = 0.0", "zeta_stop = 0.2",
+                          "zeta_count = 3", "grid_n = 64"],
+        }
+
+        def ini(name):
+            return write_config(tmp_path, "".join(
+                f"[{head}]\n" + "".join(f"{ln}\n" for ln in body)
+                for head, body in sections.items()), name=name)
+
+        load_config(ini("clean.ini"))
+        sections.setdefault(section, []).append(line)
+        path = ini("typo.ini")
+        assert main(["run", "--config", str(path)]) == 2
+        key = line.split("=")[0].strip()
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_empty_unknown_section_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[params]\na = 1.0\n[runs]\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[runs\]"):
+            load_config(path)
+
     def test_defaults_without_run_section(self, tmp_path):
         path = write_config(tmp_path, "[params]\na = 2.0\n")
         config = load_config(path)

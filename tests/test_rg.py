@@ -85,6 +85,13 @@ class TestBoundaryRecovery:
         for field in (sol.q0, sol.q1, sol.qpt):
             assert np.max(np.abs(field - w)) <= 1e-14
 
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    @pytest.mark.parametrize("field", ["q0", "q1", "qpt"])
+    def test_negative_station_rejected(self, field, a):
+        with pytest.raises(DomainError, match="station must be >= 0"):
+            evaluate_station(PhysParams(a, 1.0), FLARE, COS, -0.1, GRID,
+                             fields=(field,))
+
     def test_tabulated_signal(self):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(5)
