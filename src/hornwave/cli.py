@@ -597,29 +597,38 @@ def _build_parser():
                     "shape-preserving solutions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, needs_config, help_text):
+    def add(name, help_text, *, config=True, jobs=None, tol=False):
+        # only the flags the subcommand acts on; jobs is --jobs's help text
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, required=needs_config,
-                         help="INI-style run description")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="parallel station workers (default 1)")
+        cmd.set_defaults(jobs=1, tol=None)
+        if config:
+            cmd.add_argument("--config", type=Path, required=True,
+                             help="INI-style run description")
+        if jobs:
+            cmd.add_argument("--jobs", type=int, default=1, help=jobs)
         cmd.add_argument("--out", type=Path, default=None,
                          help="output directory override")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help="marching tolerance override")
+        if tol:
+            cmd.add_argument("--tol", type=float, default=None,
+                             help="marching tolerance override")
         return cmd
 
-    add("profile", True, "tabulate S, zeta, mu, and the log-gain")
-    add("run", True, "all configured outputs in one pass")
-    add("analytic", True, "closed-form fields at the configured stations")
-    add("solve", True, "marched reference field at the configured stations")
-    add("invariant", True, "assemble shape-preserving fields")
-    cmp_cmd = add("compare", True, "relative differences of two columns")
+    workers = "parallel station workers (default 1)"
+    add("profile", "tabulate S, zeta, mu, and the log-gain")
+    add("run", "all configured outputs in one pass", jobs=workers, tol=True)
+    add("analytic", "closed-form fields at the configured stations",
+        jobs=workers)
+    add("solve", "marched reference field at the configured stations",
+        tol=True)
+    add("invariant", "assemble shape-preserving fields",
+        jobs="accepted and ignored: the assembly is one call")
+    cmp_cmd = add("compare", "relative differences of two columns")
     cmp_cmd.add_argument("field_a", help="reference column")
     cmp_cmd.add_argument("field_b", help="column compared against it")
-    add("fig1", False, "signal decay, a/nu = 1 (writes data and comparison)")
-    add("fig1b", False, "signal decay, a/nu = 10")
-    add("fig2", False, "closed-form orders vs the march, a/nu = 10")
+    fig = dict(config=False, jobs=workers, tol=True)
+    add("fig1", "signal decay, a/nu = 1 (writes data and comparison)", **fig)
+    add("fig1b", "signal decay, a/nu = 10", **fig)
+    add("fig2", "closed-form orders vs the march, a/nu = 10", **fig)
     return parser
 
 

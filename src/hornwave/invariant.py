@@ -11,14 +11,13 @@ constant-flare branch (beta1 = -M, beta2 = 0) that ODE has a conserved
 energy and W(lam) reduces to a quadrature, periodic when M < 0 and the
 energy constant is negative.  This module builds W either way and
 assembles the full field, including the beta2 correction bracket with
-its nested area integral.
+its area integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
@@ -33,7 +32,6 @@ from .profiles import classifying_b, d_of_zeta
 from .rg import PhysParams
 
 _BLOW_UP_LIMIT = 1e8
-_INNER_MESH = 512          # knots of the cached inner cumulative integral
 _ORBIT_SAMPLES = 4097      # theta samples across one half orbit
 
 
@@ -120,35 +118,30 @@ class ShapeTable:
         return self._eval(lam, 1)
 
 
-def integrate_factor_ode(config: InvariantConfig, lambda_max,
-                         w0=None, w0_slope=None, *, lambda_min=0.0,
-                         rtol=1e-10, atol=1e-10, max_step=None):
+def integrate_factor_ode(config: InvariantConfig, lambda_max, *,
+                         lambda_min=0.0, rtol=1e-10, atol=1e-10):
     """March the factor ODE out of lam = 0.
 
         nu W'' + a (W')^2 + (M + beta1) (lam/2) W' - M W
             + (beta0 beta2 / 4a) lam^2 = 0
 
-    Initial data defaults to the config fields.  Uses an embedded 5(4)
-    pair with dense output so the table can be sampled anywhere on
+    The initial data are the config's (w0, w0_slope).  Uses an embedded
+    5(4) pair with dense output so the table can be sampled anywhere on
     [lambda_min, lambda_max]; pass lambda_min < 0 to also cover the
     negative side (the default span is forward only).  |W| passing 1e8
     stops the march and reports the escape lam.
     """
-    if w0 is None:
-        w0 = config.w0
-    if w0_slope is None:
-        w0_slope = config.w0_slope
+    w0, w0_slope = config.w0, config.w0_slope
     if w0 is None or w0_slope is None:
         raise ConfigError("factor ODE needs initial data (w0, w0_slope)")
     if lambda_max <= 0:
         raise ConfigError("lambda_max must be positive")
     if lambda_min > 0:
         raise ConfigError("lambda_min cannot be positive (the march starts at 0)")
-    if max_step is None:
-        # the returned table is the dense interpolant, and its between-node
-        # equation defect, not the node error, is what callers see; capping
-        # the step keeps that defect near 1e-9 instead of 1e-7
-        max_step = lambda_max / 256.0
+    # the returned table is the dense interpolant, and its between-node
+    # equation defect, not the node error, is what callers see; capping
+    # the step keeps that defect near 1e-9 instead of 1e-7
+    max_step = lambda_max / 256.0
 
     b0, b1, b2, m = config.betas
     a = config.params.a
@@ -219,8 +212,7 @@ class OrbitTable:
         return out if np.ndim(lam) else float(out)
 
 
-def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0,
-                            n_theta=_ORBIT_SAMPLES):
+def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
     """Quadrature of the conserved-energy form of the factor ODE.
 
     On the constant-flare branch (beta1 = -M, beta2 = 0) the ODE
@@ -271,7 +263,7 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0,
 
     mid = 0.5 * (w_top + w_bot)
     half = 0.5 * (w_top - w_bot)
-    theta = np.linspace(0.0, math.pi, n_theta)
+    theta = np.linspace(0.0, math.pi, _ORBIT_SAMPLES)
     w = mid - half * np.cos(theta)
     # R(W) = (W - w_bot)(w_top - W) h(W) with h smooth and positive, and
     # (W - w_bot)(w_top - W) = half^2 sin^2/theta under the substitution,
@@ -289,35 +281,20 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0,
     return OrbitTable(float(w_bot), float(w_top), period, float(c1), spline)
 
 
-@lru_cache(maxsize=32)
-def _inner_area_table(betas, span):
-    """Cumulative integral of exp(d) on a fixed mesh, spline-interpolated."""
-    grid = np.linspace(0.0, span, _INNER_MESH + 1)
-    vals = np.exp(d_of_zeta(betas, grid))
-    cum = cumulative_simpson(vals, x=grid, initial=0.0)
-    return CubicSpline(grid, cum)
-
-
 def nested_area_integral(betas, zeta):
-    """F(zeta): outer adaptive pass over the cached inner cumulative table.
+    """Area term of the beta2 bracket, one adaptive quadrature a station.
 
-    F = integral_0^zeta  exp(-d)/b * (integral_0^zeta' exp(d))  dzeta'.
+    F = integral_0^zeta exp(-d(z))/b(z) integral_0^z exp(d(y)) dy dz, and
+    since d' = M/b, one integration by parts leaves a single integral,
+    F = -(1/M) integral_0^zeta expm1(d(y) - d(zeta)) dy (M != 0).
     """
     if zeta == 0.0:
         return 0.0
     if zeta < 0.0:
         raise DomainError("zeta must be >= 0")
-    betas = tuple(float(v) for v in betas)
-    span = 1.0
-    while span < zeta:
-        span *= 2.0
-    inner = _inner_area_table(betas, span)
-
-    def outer(z):
-        return math.exp(-d_of_zeta(betas, z)) / classifying_b(betas, z) \
-            * float(inner(z))
-
-    return adaptive_quad(outer, 0.0, zeta, rtol=1e-10)
+    d_end = d_of_zeta(betas, zeta)
+    return -adaptive_quad(lambda y: math.expm1(d_of_zeta(betas, y) - d_end),
+                          0.0, zeta, rtol=1e-10) / betas[3]
 
 
 def assemble_invariant_q(config: InvariantConfig, zeta, tau_grid: TauGrid,

@@ -231,27 +231,19 @@ class InitialCondition:
         return self.kind == "harmonic"
 
     def __call__(self, tau):
-        """Pointwise evaluation; tabulated signals interpolate spectrally."""
+        """Pointwise evaluation of a harmonic or callable signal; a
+        tabulated one is read on grids only, through sample."""
+        if self.kind == "tabulated":
+            raise ConfigError("a tabulated signal has no pointwise values; "
+                              "use sample on a refinement of its grid")
         tau = np.asarray(tau, dtype=float)
         if self.kind == "harmonic":
             out = self.amplitude * np.cos(tau - self.phase)
-        elif self.kind == "callable":
+        else:
             out = np.asarray(self.func(tau), dtype=float)
             if out.shape != tau.shape:
                 out = np.broadcast_to(out, tau.shape).astype(float)
-        else:
-            out = self._trig_eval(tau)
         return float(out) if out.ndim == 0 else out
-
-    def _trig_eval(self, tau):
-        g = self.grid
-        spec = np.fft.rfft(self.values) / g.n
-        spec[1:-1] *= 2.0             # each interior mode and its conjugate
-        spec[-1] = spec[-1].real      # the Nyquist mode is a pure cosine
-        tau = np.asarray(tau, dtype=float)
-        theta = 2.0 * math.pi * (tau - g.start) / g.period
-        modes = np.exp(1j * np.multiply.outer(theta, np.arange(spec.size)))
-        return (modes @ spec).real
 
     def sample(self, grid: TauGrid):
         """Samples of W on a grid; tabulated signals allow spectral refinement."""
@@ -373,8 +365,9 @@ def _signal_exponential(ic, a, nu, grid, min_points=0.0):
     until every bin in the upper half of the spectrum of e has decayed to
     rounding: a spectrum on multiples of some p can leave the bins next to
     Nyquist empty while its aliases land on others.  W is sampled on the
-    working grid and exponentiated there; an exponent past the double range
-    raises RangeOverflowError, which no refinement fixes.
+    working grid and exponentiated there; an exponent past the double range,
+    or a spectrum of e that overflows, raises RangeOverflowError, which no
+    refinement fixes.
     """
     fine = grid
     while fine.n < min_points:
@@ -387,7 +380,12 @@ def _signal_exponential(ic, a, nu, grid, min_points=0.0):
             raise RangeOverflowError(
                 f"exp(a W / nu) overflows at a/nu = {a / nu:g}, "
                 f"max aW/nu = {(a / nu) * np.max(w):g}")
-        spec = np.abs(np.fft.rfft(e))
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec = np.abs(np.fft.rfft(e))
+        if not np.all(np.isfinite(spec)):
+            raise RangeOverflowError(
+                f"the spectrum of exp(a W / nu) overflows at a/nu = "
+                f"{a / nu:g}, max aW/nu = {(a / nu) * np.max(w):g}")
         if spec[spec.size // 2:].max() <= _SPECTRUM_TAIL_RTOL * spec.max():
             return fine, e
         fine = fine.refined(2)
@@ -428,8 +426,10 @@ def heat_smoother(f, grid: TauGrid, nu, spectral):
 
 
 def _circular_convolve(values, weights):
-    n = values.size
-    return np.convolve(np.tile(values, 2), weights)[n:2 * n]
+    """Periodic sum out_i = sum_j values[(i - j) mod n] weights[j], as the
+    n "valid" outputs of the tiled values less their first sample: bitwise
+    the slice [n:2n] of the full convolution, at half its multiply-adds."""
+    return np.convolve(np.tile(values, 2)[1:], weights, "valid")
 
 
 def _kernel_windowed(ic, a, nu, x, grid):

@@ -481,12 +481,12 @@ def _check_no_root(betas, zmax):
             f"b(zeta) vanishes at zeta = {r:g} inside [0, {zmax:g}]")
 
 
-def d_of_zeta(betas, zeta, *, boundary_tol=_CASE_BOUNDARY_TOL):
+def d_of_zeta(betas, zeta):
     """Classified absorption exponent d(zeta) = M * integral_0^zeta dy/b(y).
 
     Evaluates the closed form matching the discriminant of b; parameters
-    within ``boundary_tol`` (relative) of the degenerate case are handed to
-    direct quadrature instead of either closed form.
+    within ``_CASE_BOUNDARY_TOL`` (relative) of the degenerate case are
+    handed to direct quadrature instead of either closed form.
 
     Raises :class:`SingularProfileError` if b vanishes inside [0, zeta].
     """
@@ -505,7 +505,7 @@ def d_of_zeta(betas, zeta, *, boundary_tol=_CASE_BOUNDARY_TOL):
         out = m * (np.log1p(b1 * zarr / b0) / b1)
     elif disc == 0.0:
         out = 2.0 * m * zarr / (2.0 * b0 + b1 * zarr)
-    elif abs(disc) <= boundary_tol * max(1.0, b1 * b1, abs(4.0 * b0 * b2)):
+    elif abs(disc) <= _CASE_BOUNDARY_TOL * max(1.0, b1 * b1, abs(4.0 * b0 * b2)):
         # one quadrature per gap between the sorted points, then a running sum
         zs, where = np.unique(zarr.ravel(), return_inverse=True)
         edges = np.concatenate(([0.0], zs))

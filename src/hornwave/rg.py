@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BreakdownError, ConfigError, DomainError, QuadratureError
+from .errors import (BreakdownError, ConfigError, DomainError, QuadratureError,
+                     RangeOverflowError)
 from .grid import TauGrid
 from .kernel import (InitialCondition, KernelField, heat_smoother, kernel_k,
                      kernel_quadrature)
@@ -45,10 +46,6 @@ class PhysParams:
             raise DomainError(f"dissipation must be positive, got {self.nu:g}")
         if self.a < 0.0:
             raise DomainError(f"nonlinearity must be >= 0, got {self.a:g}")
-
-    @property
-    def reynolds(self):
-        return self.a / self.nu
 
 
 @dataclass(frozen=True)
@@ -91,9 +88,9 @@ def _bracket(kvals, mu_over_nu):
     """
     u = kvals - 1.0 + mu_over_nu
     arg = u / mu_over_nu
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         term = np.where(u != 0.0, u * np.log(np.abs(arg)), 0.0)
-    return 1.0 - kvals + term
+        return 1.0 - kvals + term
 
 
 def first_order(params: PhysParams, profile: Profile, ic: InitialCondition,
@@ -102,25 +99,28 @@ def first_order(params: PhysParams, profile: Profile, ic: InitialCondition,
     """Gradient-corrected field at station x.
 
     The path integral reads K alone at its nodes, from one K evaluator
-    built for the station; the station's own kernel serves x' = x.
+    built for the station, which also gives K at x' = x unless the
+    station's own kernel is passed in.
     """
     x, nu = float(x), params.nu
+    if x < 0.0:
+        raise DomainError(f"station must be >= 0, got {x:g}")
     if params.a > 0.0 and not grid.periodic:
         raise ConfigError("q1 needs a periodic grid at a > 0: its path "
                           "integral is spectral, and this grid is windowed")
-    if outer_kernel is None:
-        outer_kernel = kernel_quadrature(ic, params.a, nu, x, grid)
-    if params.a == 0.0:
-        return nu * outer_kernel.k_a   # correction is O(a^2)
+    if params.a == 0.0:   # the correction is O(a^2)
+        kernel = outer_kernel or kernel_quadrature(ic, 0.0, nu, x, grid)
+        return nu * kernel.k_a
     mu = profile.mu(nu, x)
     k_at = kernel_k(ic, params.a, nu, grid)
+    k_x = k_at(x) if outer_kernel is None else outer_kernel.k
 
     def node_field(xp, mu_p):
-        return _bracket(outer_kernel.k if xp == x else k_at(xp), mu_p / nu)
+        return _bracket(k_x if xp == x else k_at(xp), mu_p / nu)
 
     correction = _convolved_path_integral(profile, node_field, x, grid, nu,
                                           rtol=quad_rtol)
-    combined = (nu / mu) * (outer_kernel.k - 1.0 - correction)
+    combined = (nu / mu) * (k_x - 1.0 - correction)
     _log_argument_or_raise(1.0 + combined, x, grid, "first-order")
     return (mu / params.a) * np.log1p(combined)
 
@@ -180,8 +180,13 @@ def _convolved_path_integral(profile: Profile, node_field, x, grid: TauGrid,
         total = np.zeros(kappa2.size, dtype=complex)
         weights = coeff * profile.mu_x_over_mu(nodes)
         for xp, c, mu_p in zip(nodes, weights, profile.mu(nu, nodes)):
-            total += (c * np.fft.rfft(node_field(xp, mu_p))
-                      * np.exp(-nu * kappa2 * (x - xp)))
+            field = node_field(xp, mu_p)
+            with np.errstate(over="ignore", invalid="ignore"):
+                spec = np.fft.rfft(field)
+            if not np.all(np.isfinite(spec)):
+                raise RangeOverflowError(
+                    f"path integrand at x' = {xp:g} overflows the double range")
+            total += c * spec * np.exp(-nu * kappa2 * (x - xp))
         return total
 
     panels = max(_QUAD_BASE_PANELS // widths.size, 4)

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine criteria, one pass/fail line each.
+"""Acceptance gate: ten criteria, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines; each
 criterion also fails the suite on its own if its bound is violated.
@@ -252,3 +252,55 @@ def test_c9_march_reproduces_invariant_field():
     report(9, "march reproduces the invariant field", worst <= 1e-9,
            f"max-rel {worst:.2e} at zeta 0.1 / 0.2 / 0.4; closed forms "
            f"measured {measured}, {elapsed:.1f}s")
+
+
+def test_c10_slow_variation_order():
+    # exact constant-flare orbits on ExponentialProfile(M), betas
+    # (1, -M, 0, M): the closed forms' error against the exact field must
+    # fall as |M| (q0) and |M|^2 (q1), the paper's slow-variation orders.
+    # c0 = 0.1 M holds the orbit's amplitude fixed; its period, the
+    # signal's wavelength, then grows as |M|^(-1/2): on this branch the two
+    # are tied.  qpt and the march are printed as measured, not bounded.
+    t0 = time.perf_counter()
+    params = PhysParams(1.0, 1.0)
+    flares = np.array([-1.0, -0.25, -0.0625, -0.03125])
+    x = 0.2
+    errors = {name: [] for name in ("q0", "q1", "qpt", "qnum")}
+    heights, periods = [], []
+    for m in flares:
+        config = InvariantConfig(betas=(1.0, -m, 0.0, m), params=params,
+                                 c0=0.1 * m)
+        orbit = first_integral_solution(m, 1.0, 0.1 * m)
+        heights.append(orbit.w_top - orbit.w_bottom)
+        periods.append(orbit.period)
+        duct = ExponentialProfile(m)
+        grid = TauGrid(256, period=orbit.period)
+        ic = InitialCondition.tabulated(
+            assemble_invariant_q(config, 0.0, grid, orbit), grid)
+        exact = assemble_invariant_q(config, duct.zeta_of_x(x), grid, orbit)
+        scale = float(np.max(np.abs(exact)))
+        sol = evaluate_station(params, duct, ic, x, grid,
+                               fields=("q0", "q1", "qpt"))
+        marched = solve(ic, params, duct, grid,
+                        SolverConfig(tol=1e-10, stations=(x,)))
+        fields = {"q0": sol.q0, "q1": sol.q1, "qpt": sol.qpt,
+                  "qnum": marched.fields[0]}
+        for name, field in fields.items():
+            errors[name].append(float(np.max(np.abs(field - exact))) / scale)
+    log_m = np.log(-flares)
+    order = {name: float(np.polyfit(log_m, np.log(errs), 1)[0])
+             for name, errs in errors.items()}
+    period_slope = float(np.polyfit(log_m, np.log(periods), 1)[0])
+    elapsed = time.perf_counter() - t0
+    ok = (0.8 <= order["q0"] <= 1.2 and 1.8 <= order["q1"] <= 2.2
+          and elapsed <= 1.0)
+    measured = "; ".join(f"{name} " + " / ".join(f"{e:.1e}" for e in errs)
+                         for name, errs in errors.items())
+    report(10, "slow-variation order against exact solutions", ok,
+           f"order q0 {order['q0']:.2f} (want 1 +/- 0.2), q1 "
+           f"{order['q1']:.2f} (want 2 +/- 0.2), qpt {order['qpt']:.2f}, "
+           f"qnum {order['qnum']:.2f}; max-rel at M = -1 / -1/4 / -1/16 / "
+           f"-1/32: {measured}; amplitude {min(heights):.3f} to "
+           f"{max(heights):.3f}, period {periods[0]:.2f} to "
+           f"{periods[-1]:.2f} (slope {period_slope:.2f} in log|M|), "
+           f"{elapsed:.2f}s")

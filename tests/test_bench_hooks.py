@@ -1,9 +1,10 @@
-"""The benchmark's tracer can patch, and then restore, every hook it names.
+"""The benchmark's use of the library still works, checked without a run.
 
 ``perfbench/tracing.py`` replaces functions under the names it looks them
 up by (``hornwave.kernel.adaptive_quad``, ``hornwave.cli.ThreadPoolExecutor``
-and others).  A renamed or deleted hook makes it raise ``KeyError`` on
-entry; this catches that without running a workload.
+and others); a renamed or deleted hook makes it raise ``KeyError`` on
+entry.  ``perfbench/workloads.py`` passes command lines the CLI must still
+parse, and ``perfbench/checks.py`` calls the kernel routes by name.
 """
 
 import importlib.util
@@ -12,17 +13,25 @@ from pathlib import Path
 
 import hornwave
 import hornwave.cli  # noqa: F401  (the tracer patches names in the cli module)
+import hornwave.grid  # noqa: F401  (checks.series_gap reads hw.grid)
+import hornwave.kernel  # noqa: F401
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name, module_name):
+    spec = importlib.util.spec_from_file_location(module_name,
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while it executes
+    # dataclasses look their module up in sys.modules while it executes,
+    # and checks.py imports workloads under its plain name
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing(monkeypatch):
+    return _load(monkeypatch, "tracing", "perfbench_tracing")
 
 
 def test_tracer_patches_and_restores_every_hook(monkeypatch):
@@ -35,3 +44,22 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
     assert not tracer._patches
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_every_workload_command_line_parses(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads", "workloads")
+    parser = hornwave.cli._build_parser()
+    for name in workloads.WORKLOADS:
+        built = workloads.build(name, tmp_path / name, seed=1, reduced=True)
+        assert built.jobs
+        for job in built.jobs:
+            args = parser.parse_args(job.argv())   # exits 2 on a stale flag
+            assert args.command == job.command
+
+
+def test_series_gap_check_runs(monkeypatch):
+    workloads = _load(monkeypatch, "workloads", "workloads")
+    checks = _load(monkeypatch, "checks", "checks")
+    case = workloads.GapCase(phase=0.3, a=2.0, nu=1.0, xs=(0.0, 0.5), n=64)
+    gap = checks.series_gap(hornwave, case)
+    assert 0.0 <= gap <= workloads.SERIES_GAP_LIMIT

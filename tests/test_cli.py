@@ -474,6 +474,53 @@ out = {tmp_path / 'bad'}
         assert main(["analytic", "--config", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("fig1", "--config", None), ("fig1b", "--config", None),
+        ("fig2", "--config", None),
+        ("profile", "--tol", "1e-6"), ("analytic", "--tol", "1e-6"),
+        ("invariant", "--tol", "1e-6"), ("compare", "--tol", "1e-6"),
+        ("profile", "--jobs", "2"), ("solve", "--jobs", "2"),
+        ("compare", "--jobs", "2"),
+    ])
+    def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys,
+                                              command, flag, value):
+        # the subcommand does not act on the flag, so argparse refuses it
+        # before any work starts
+        config = str(small_config(tmp_path))
+        argv = [command]
+        if not command.startswith("fig"):
+            argv += ["--config", config]
+        if command == "compare":
+            argv += ["q0", "qnum"]
+        argv += ["--out", str(tmp_path / "data"), flag, value or config]
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+        assert not (tmp_path / "data").exists()
+
+    def test_overflowing_sum_writes_no_station_file(self, tmp_path, capsys):
+        # exp(a W / nu) is finite, its spectrum is not: the run stops with
+        # a typed error before an inf can reach a CSV
+        tau = TauGrid.periodic_default(64).tau
+        signal = cli._write_csv(tmp_path / "signal.csv", ["tau", "qnum"],
+                                [tau, 69.7 + np.cos(tau)])
+        path = write_config(tmp_path, f"""
+[params]
+a = 10.0
+[initial]
+kind = table
+path = {signal}
+[run]
+stations = 0.5
+outputs = q0
+out = {tmp_path / 'data'}
+""")
+        assert main(["run", "--config", str(path)]) == 3
+        assert "spectrum of exp(a W / nu) overflows" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_profile_needs_x_stop(self, tmp_path, capsys):
         path = small_config(tmp_path)
         assert main(["profile", "--config", str(path)]) == 2

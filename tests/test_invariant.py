@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from hornwave._quadrature import adaptive_quad
 from hornwave.errors import (BlowUpError, ConfigError, CoverageError,
@@ -15,7 +16,7 @@ from hornwave.invariant import (InvariantConfig, OrbitTable,
                                 first_integral_solution, integrate_factor_ode,
                                 nested_area_integral, similarity_vars)
 from hornwave.profiles import (BetaFamilyProfile, ExponentialProfile,
-                               PowerLawProfile, d_of_zeta)
+                               PowerLawProfile, classifying_b, d_of_zeta)
 from hornwave.rg import PhysParams
 from hornwave.solver import residual
 
@@ -190,11 +191,12 @@ class TestFactorODE:
         with pytest.raises(CoverageError):
             table(-0.1)  # forward-only span does not cover negative lam
 
-    def test_explicit_data_overrides_config(self):
+    def test_config_data_start_the_march(self):
         cfg = InvariantConfig(betas=(1.0, 0.5, 0.0, 1.0), params=UNIT,
-                              w0=0.0, w0_slope=0.0)
-        table = integrate_factor_ode(cfg, 1.0, w0=0.2, w0_slope=0.0)
+                              w0=0.2, w0_slope=-0.1)
+        table = integrate_factor_ode(cfg, 1.0)
         assert abs(table(0.0) - 0.2) < 1e-12
+        assert abs(table.slope(0.0) + 0.1) < 1e-12
 
     def test_integral_route_config_lacks_ode_data(self):
         cfg = InvariantConfig(betas=(1.0, 1.0, 0.0, -1.0), params=UNIT, c0=-0.1)
@@ -272,6 +274,23 @@ class TestNestedIntegral:
                     lambda y: math.exp(d_of_zeta(betas, y)), 0.0, z,
                     rtol=1e-12)
                 assert abs(m * f + math.exp(-d_of_zeta(betas, z)) * e - z) < 1e-10
+
+    @pytest.mark.parametrize("betas", [(1.0, 0.0, 1.0, 1.0),     # disc < 0
+                                       (1.0, 3.0, 1.0, -0.5)])   # disc > 0
+    @pytest.mark.parametrize("zeta", [0.01, 0.3, 2.0])
+    def test_matches_the_nested_double_integral(self, betas, zeta):
+        # the definition itself: an inner quadrature of exp(d) at every
+        # node of the outer one, each with scipy directly
+        def inner(z):
+            return integrate.quad(lambda y: math.exp(d_of_zeta(betas, y)),
+                                  0.0, z, epsabs=0.0, epsrel=1e-13)[0]
+
+        def outer(z):
+            return math.exp(-d_of_zeta(betas, z)) * inner(z) \
+                / classifying_b(betas, z)
+
+        ref = integrate.quad(outer, 0.0, zeta, epsabs=0.0, epsrel=1e-13)[0]
+        assert abs(nested_area_integral(betas, zeta) - ref) <= 1e-10 * ref
 
     def test_vanishes_at_the_throat(self):
         assert nested_area_integral((1.0, 0.0, 1.0, 1.0), 0.0) == 0.0

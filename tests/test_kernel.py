@@ -285,6 +285,22 @@ def spectral_signals(draw):
     return ic, a, w_max
 
 
+def periodized_gaussian_k(ic, a, nux):
+    """K on GRID by the trapezoid sum of e = exp(a W) against the exact
+    periodized Gaussian (nu = 1), on the working grid kernel_k uses there."""
+    if nux == 0.0:
+        return np.exp(a * ic.sample(GRID))
+    fine, e = kernel_module._signal_exponential(
+        ic, a, 1.0, GRID, kernel_module._weight_points(GRID, 1.0, nux))
+    h = fine.period / fine.n
+    images = h * np.arange(fine.n) + fine.period * np.arange(-8, 9)[:, None]
+    weights = (h * np.exp(-images ** 2 / (4.0 * nux)).sum(axis=0)
+               / math.sqrt(4.0 * math.pi * nux))
+    j = np.arange(fine.n)
+    return np.array([e[(i - j) % fine.n] @ weights
+                     for i in range(0, fine.n, fine.n // GRID.n)])
+
+
 def counted_convolutions():
     return mock.patch.object(kernel_module, "_circular_convolve",
                              wraps=kernel_module._circular_convolve)
@@ -325,16 +341,30 @@ class TestSmoothingRoutes:
 
     @pytest.mark.parametrize("a_nu", [10.0, 50.0])
     def test_k_evaluator_matches_station_kernel(self, a_nu):
-        # one evaluator serves every station; the direct route (a/nu = 50)
-        # repeats kernel_quadrature's sums exactly, finer grid included
+        # one evaluator serves every station, on the spectral route
+        # (a/nu = 10) and the direct one (a/nu = 50) alike; the reference
+        # sums e against exact periodized Gaussian weights on the working
+        # grid, and at a/nu <= 10 the Bessel series checks it as well.  The
+        # gap is taken against max K: in the troughs the direct route's
+        # clipped weights are known to be off (see ROADMAP item 1).
         k_at = kernel_k(COS, a_nu, 1.0, GRID)
         for nux in (0.0, 1e-4, 0.02, 0.7):
-            ref = kernel_quadrature(COS, a_nu, 1.0, nux, GRID).k
-            if a_nu > 0.5 * RANGE_EXPONENT:
-                assert np.array_equal(k_at(nux), ref)
-            else:
-                gap = np.max(np.abs(k_at(nux) - ref))
-                assert gap <= ROUTE_GAP * math.exp(a_nu)
+            got = k_at(nux)
+            ref = periodized_gaussian_k(COS, a_nu, nux)
+            assert np.max(np.abs(got - ref)) <= ROUTE_GAP * np.max(ref)
+            if a_nu <= 10.0:
+                series = kernel_series(COS, a_nu, 1.0, nux, GRID).k
+                assert np.max(np.abs(got - series)) <= ROUTE_GAP * np.max(ref)
+
+    def test_circular_convolve_matches_tiled_full_convolution(self):
+        # the full convolution of the tiled signal, sliced to [n, 2n), is the
+        # form the valid-mode sum replaced; it must agree bit for bit
+        rng = np.random.default_rng(5)
+        for n in (64, 256, 1024):
+            values, weights = rng.random(n), rng.random(n)
+            full = np.convolve(np.tile(values, 2), weights)[n:2 * n]
+            got = kernel_module._circular_convolve(values, weights)
+            assert np.array_equal(got, full)
 
     def test_k_evaluator_rejects_windowed_grid(self):
         with pytest.raises(ConfigError):
@@ -383,26 +413,10 @@ class TestInitialCondition:
         expect = np.cos((GRID.n // 2) * fine.tau)
         assert np.max(np.abs(ic.sample(fine) - expect)) <= 1e-13
 
-    def test_pointwise_trig_eval(self):
-        vals = np.cos(2 * GRID.tau)
-        ic = InitialCondition.tabulated(vals, GRID)
-        assert ic(0.37) == pytest.approx(math.cos(0.74), abs=1e-13)
-
-    def test_trig_eval_matches_mode_loop(self):
-        # the mode-by-mode sum the vectorized evaluation replaced
-        rng = np.random.default_rng(11)
-        grid = TauGrid(n=64, period=3.0, start=-1.0)
-        ic = InitialCondition.tabulated(rng.standard_normal(grid.n), grid)
-        tau = grid.start + grid.period * rng.uniform(-1.0, 2.0, (3, 5))
-        spec = np.fft.rfft(ic.values) / grid.n
-        theta = 2.0 * math.pi * (tau - grid.start) / grid.period
-        ref = np.full(theta.shape, spec[0].real)
-        for k in range(1, grid.n // 2):
-            ref += 2.0 * (spec[k].real * np.cos(k * theta)
-                          - spec[k].imag * np.sin(k * theta))
-        ref += spec[-1].real * np.cos((grid.n // 2) * theta)
-        assert np.max(np.abs(ic(tau) - ref)) <= 1e-14
-        assert ic(tau[0, 0]) == pytest.approx(ref[0, 0], abs=1e-14)
+    def test_pointwise_call_on_table_points_to_sample(self):
+        ic = InitialCondition.tabulated(np.cos(2 * GRID.tau), GRID)
+        with pytest.raises(ConfigError, match="sample"):
+            ic(0.37)
 
     def test_rejects_unrelated_grid(self):
         ic = InitialCondition.tabulated(np.cos(GRID.tau), GRID)

@@ -68,9 +68,6 @@ def _reference_perturbative(params, profile, ic, x, grid):
 
 
 class TestPhysParams:
-    def test_reynolds(self):
-        assert PhysParams(a=3.0, nu=1.5).reynolds == 2.0
-
     def test_validation(self):
         with pytest.raises(DomainError):
             PhysParams(a=1.0, nu=0.0)
@@ -242,6 +239,24 @@ class TestEvaluateStation:
         kf = kernel_quadrature(COS, 1.0, 1.0, 0.4, GRID)
         assert np.max(np.abs(sol.q0 - zero_order(params, FLARE, kf))) == 0.0
 
+    def test_q1_station_builds_one_signal_exponential(self, monkeypatch):
+        # without q0 there is no station kernel to share: q1 reads K at x
+        # from the evaluator it builds for its nodes, and gets the same bytes
+        params = PhysParams(1.0, 1.0)
+        shared = evaluate_station(params, FLARE, COS, 0.7, GRID,
+                                  fields=("q0", "q1")).q1
+        calls = []
+        build = kernel_module._signal_exponential
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(kernel_module, "_signal_exponential", counted)
+        alone = evaluate_station(params, FLARE, COS, 0.7, GRID,
+                                 fields=("q1",)).q1
+        assert len(calls) == 1
+        assert np.array_equal(alone, shared)
 
     @pytest.mark.parametrize("field", ["q0", "q1"])
     def test_signal_exponential_overflow_is_named(self, field):
@@ -254,6 +269,33 @@ class TestEvaluateStation:
                 evaluate_station(PhysParams(800.0, 1.0), FLARE, COS, 1.0,
                                  TauGrid.periodic_default(1024),
                                  fields=(field,))
+
+def offset_cosine(mean):
+    grid = TauGrid.periodic_default(64)
+    return InitialCondition.tabulated(mean + np.cos(grid.tau), grid), grid
+
+
+class TestSumsPastTheDoubleRange:
+    # mean + cos tau at a/nu = 10 keeps exp(a W / nu) itself finite (max
+    # aW/nu 705 to 709), but sums of it over the period are not: a typed
+    # error that names the cause, and no numpy warning on the way
+    @pytest.mark.parametrize("mean", [69.7, 69.9])
+    def test_q0_names_the_overflowing_spectrum(self, mean):
+        ic, grid = offset_cosine(mean)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflowError, match="spectrum"):
+                evaluate_station(PhysParams(10.0, 1.0), ConstantProfile(), ic,
+                                 0.5, grid, fields=("q0",))
+
+    def test_q1_names_the_overflowing_node(self):
+        ic, grid = offset_cosine(69.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflowError, match="at x' = 0 "):
+                evaluate_station(PhysParams(10.0, 1.0), ConstantProfile(), ic,
+                                 0.5, grid, fields=("q1",))
+
 
 class TestPathIntegralNodes:
     @pytest.mark.parametrize("field", ["q1", "qpt"])
