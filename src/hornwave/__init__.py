@@ -19,7 +19,7 @@ from .kernel import (InitialCondition, KernelField, kernel_quadrature,
                      kernel_series)
 from .profiles import (BetaFamilyProfile, ConstantProfile, ExponentialProfile,
                        PowerLawProfile, Profile, SphericalProfile,
-                       TabulatedProfile, load_profile_table)
+                       TabulatedProfile)
 from .rg import (PhysParams, RGSolution, evaluate_station, first_order,
                  perturbative, zero_order)
 from .solver import SolverConfig, SolverResult, residual, solve
@@ -37,6 +37,6 @@ __all__ = [
     "TauGrid", "WindowTruncationError", "assemble_invariant_q",
     "evaluate_station", "first_integral_solution", "first_order",
     "integrate_factor_ode", "kernel_quadrature", "kernel_series",
-    "load_profile_table", "nested_area_integral", "perturbative", "residual",
+    "nested_area_integral", "perturbative", "residual",
     "similarity_vars", "solve", "zero_order", "__version__",
 ]

@@ -23,14 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, HornWaveError
+from .errors import (ConfigError, DomainError, HornWaveError,
+                     SingularProfileError)
 from .grid import TWO_PI, TauGrid
 from .invariant import (InvariantConfig, assemble_invariant_q,
                         first_integral_solution, integrate_factor_ode)
 from .kernel import InitialCondition
 from .profiles import (BetaFamilyProfile, ConstantProfile, ExponentialProfile,
                        PowerLawProfile, Profile, SphericalProfile,
-                       TabulatedProfile, load_profile_table)
+                       TabulatedProfile, d_of_zeta)
 from .rg import PhysParams, evaluate_station
 from .solver import SolverConfig, residual, solve
 
@@ -55,17 +56,28 @@ def _write_csv(path: Path, names, columns):
 
 
 def read_field_table(path):
-    """Station CSV back into named columns (dict of 1-d arrays)."""
+    """Text table (a station CSV, a duct table) as a dict of 1-d columns.
+
+    Cells are separated by commas or blanks, and ``#`` starts a comment,
+    on a line of its own or after the cells.  The first row names the
+    columns unless it starts with a number; a table without such a
+    header keys its columns by position (0, 1, ...).
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"table {path} does not exist")
-    lines = [ln for ln in path.read_text().splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    rows = [cells for ln in path.read_text().splitlines()
+            if (cells := ln.split("#", 1)[0].replace(",", " ").split())]
+    if not rows:
         raise ConfigError(f"table {path} is empty")
-    names = [c.strip() for c in lines[0].split(",")]
     try:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        float(rows[0][0])
+    except ValueError:
+        names, body = rows[0], rows[1:]
+    else:
+        names, body = range(len(rows[0])), rows
+    try:
+        data = np.array([[float(v) for v in cells] for cells in body])
     except ValueError as err:
         raise ConfigError(f"table {path}: {err}") from err
     if data.ndim != 2 or data.shape[1] != len(names):
@@ -106,25 +118,12 @@ def read_initial_table(path, column="qnum"):
 
 
 def read_profile_file(path) -> TabulatedProfile:
-    """Accepts the plain two-column ``x S`` format, separated by blanks or
-    by commas, or the CSV the ``profile`` subcommand writes (columns x and
-    area).  The first row is a CSV header only when it does not parse as
-    numbers under either separator."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"profile table {path} does not exist")
-    first = ""
-    for line in path.read_text().splitlines():
-        if line.strip() and not line.lstrip().startswith("#"):
-            first = line
-            break
-    for sep in (None, ","):
-        try:
-            np.array(first.split(sep), dtype=float)
-        except ValueError:
-            continue
-        return load_profile_table(path, delimiter=sep)
+    """Duct from a table :func:`read_field_table` reads.  Two columns are
+    (x, S) by position, with or without a header; a wider table, such as
+    the CSV the ``profile`` subcommand writes, names ``x`` and ``area``."""
     cols = read_field_table(path)
+    if len(cols) == 2:
+        return TabulatedProfile(*cols.values())
     for need in ("x", "area"):
         if need not in cols:
             raise ConfigError(f"{path} has no column {need!r}")
@@ -202,8 +201,8 @@ class RunConfig:
                     f"unknown output {name!r}; pick from {_ALLOWED_OUTPUTS}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.tol <= 0 or self.quad_rtol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.quad_rtol < math.inf):
+            raise ConfigError("tolerances must be positive and finite")
         object.__setattr__(self, "stations", st)
         object.__setattr__(self, "outputs", outs)
         object.__setattr__(self, "out", Path(self.out))
@@ -248,6 +247,15 @@ def _opt(cp, section, key, default, cast=float):
     if not cp.has_option(section, key):
         return default
     return _need(cp, section, key, cast)
+
+
+def _in_domain(key, mapping, *args):
+    """Map a configured value through the model once; a value outside
+    its domain is a configuration error naming ``key``."""
+    try:
+        mapping(*args)
+    except (DomainError, SingularProfileError) as err:
+        raise ConfigError(f"{key}: {err}") from err
 
 
 def _float_list(raw):
@@ -328,6 +336,8 @@ def _build_invariant(cp, params) -> InvariantSpec | None:
     if count > 1 and stop == start:
         raise ConfigError(
             f"[invariant] zeta_count = {count} needs zeta_stop > zeta_start")
+    for key, value in (("zeta_start", start), ("zeta_stop", stop)):
+        _in_domain(f"[invariant] {key}", d_of_zeta, betas, value)
     zeta = tuple(np.linspace(start, stop, count))
 
     n = _opt(cp, "invariant", "grid_n", 256, int)
@@ -353,7 +363,12 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
 
-    params = PhysParams(_need(cp, "params", "a"), _opt(cp, "params", "nu", 1.0))
+    a, nu = _need(cp, "params", "a"), _opt(cp, "params", "nu", 1.0)
+    if not nu > 0.0:
+        raise ConfigError(f"[params] nu = {nu:g} must be positive")
+    if not a >= 0.0:
+        raise ConfigError(f"[params] a = {a:g} must be >= 0")
+    params = PhysParams(a, nu)
     profile = _build_profile(cp) if cp.has_section("profile") else ConstantProfile()
     ic = _build_initial(cp)
 
@@ -366,12 +381,18 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
     if cp.has_section("run"):
         if cp.has_option("run", "stations"):
             stations = _need(cp, "run", "stations", _float_list)
+            _in_domain("[run] stations", profile.zeta_of_x,
+                       np.asarray(stations) / nu)
         if cp.has_option("run", "outputs"):
             outputs = _need(cp, "run", "outputs", _name_list)
         grid_n = _opt(cp, "run", "grid_n", grid_n, int)
         file_tol = _opt(cp, "run", "tol", 1e-8)
         quad_rtol = _opt(cp, "run", "quad_rtol", 1e-6)
         out_dir = Path(_opt(cp, "run", "out", "hornwave_out", str).strip())
+
+    x_stop = _opt(cp, "profile", "x_stop", None)
+    if x_stop is not None:
+        _in_domain("[profile] x_stop", profile.zeta_of_x, x_stop)
 
     config = RunConfig(
         params=params, profile=profile, ic=ic, stations=stations,
@@ -381,10 +402,8 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
         out=Path(out) if out is not None else out_dir,
         jobs=jobs if jobs is not None else 1,
         invariant=_build_invariant(cp, params),
-        profile_x_stop=_opt(cp, "profile", "x_stop", None)
-        if cp.has_section("profile") else None,
-        profile_x_count=_opt(cp, "profile", "x_count", 129, int)
-        if cp.has_section("profile") else 129)
+        profile_x_stop=x_stop,
+        profile_x_count=_opt(cp, "profile", "x_count", 129, int))
     cp.reject_unread(path)
     return config
 
@@ -511,7 +530,6 @@ def run_invariant(config: RunConfig):
     spec = config.invariant
     if spec is None:
         raise ConfigError("config has no [invariant] section")
-    betas = spec.config.betas
     table = spec.table
     if spec.route == "ode":
         def table(lam):
@@ -535,9 +553,9 @@ def run_invariant(config: RunConfig):
 
     defect = None
     if len(spec.zeta) >= 3:
-        defect = residual(fields, np.asarray(spec.zeta), spec.config.params,
-                          BetaFamilyProfile(*betas, zeta_cap=spec.zeta[-1]),
-                          spec.grid)
+        cfg, zeta = spec.config, np.asarray(spec.zeta)
+        mu = cfg.params.nu * np.exp(d_of_zeta(cfg.betas, zeta))
+        defect = residual(fields, zeta, cfg.params.a, mu, spec.grid)
     return written, defect
 
 

@@ -178,12 +178,6 @@ def bessel_i_sequence(count, z):
     return vals
 
 
-def bessel_i(order, z):
-    if order < 0:
-        order = -order        # I_{-k} = I_k
-    return float(bessel_i_sequence(order + 1, z)[order])
-
-
 # ---------------------------------------------------------------------------
 # boundary signal
 

@@ -38,8 +38,9 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _check_range(arr, hi, what, hi_open=False):
-    """Raise DomainError unless every point lies in [0, hi] ([0, hi) if open)."""
-    bad = (arr < 0.0) | ((arr >= hi) if hi_open else (arr > hi))
+    """Raise DomainError unless every point lies in [0, hi] ([0, hi) if open);
+    NaN lies nowhere."""
+    bad = ~((arr >= 0.0) & ((arr < hi) if hi_open else (arr <= hi)))
     if bad.any():
         raise DomainError(f"{what} = {float(arr[bad][0]):g} outside "
                           f"[0, {hi:g}{')' if hi_open else ']'}")
@@ -75,18 +76,20 @@ def _clamped(spline):
 class Profile:
     """Common surface of all duct profiles.
 
-    Each public map takes a scalar or an array, checks it once against its
-    domain, [0, x_max] or [0, zeta_max] with the far end open where a class
-    marks it singular (``x_open``, ``zeta_open``), applies a private array
-    formula and returns a float for a scalar argument.  Subclasses provide
-    ``_area``, ``_area_derivative``, ``_zeta_of_x`` and ``_x_of_zeta``, and
-    ``_mu_x_over_mu`` or ``_mu_of_zeta`` where a closed form exists.
+    The solvers see a duct only through five maps: the area S, the
+    coordinate maps zeta(x) and x(zeta), the absorption mu = nu sqrt(S)
+    and its log-derivative mu_x/mu.  Each takes a scalar or an array,
+    checks it once against its domain, [0, x_max] or [0, zeta_max] with
+    the far end open where a class marks it singular (``x_open``,
+    ``zeta_open``), applies a private array formula and returns a float
+    for a scalar argument.  Every subclass provides the same four
+    formulas: ``_area``, ``_mu_x_over_mu``, ``_zeta_of_x`` and
+    ``_x_of_zeta``.
     """
 
     x_max: float = math.inf
     zeta_max: float = math.inf
     x_open = zeta_open = False
-    betas: tuple[float, float, float, float] | None = None
 
     def _checked(self, formula, v, what):
         arr = np.asarray(v, dtype=float)
@@ -100,10 +103,6 @@ class Profile:
     def area(self, x):
         """Cross-section ratio S(x)."""
         return self._checked(self._area, x, "x")
-
-    def area_derivative(self, x):
-        """dS/dx."""
-        return self._checked(self._area_derivative, x, "x")
 
     def zeta_of_x(self, x):
         """Stretched coordinate zeta(x)."""
@@ -121,16 +120,6 @@ class Profile:
         """Logarithmic derivative d ln(mu)/dx = S'/(2S)."""
         return self._checked(self._mu_x_over_mu, x, "x")
 
-    def mu_of_zeta(self, nu, zeta):
-        """Absorption coefficient at x(zeta)."""
-        return self._checked(lambda z: self._mu_of_zeta(nu, z), zeta, "zeta")
-
-    def _mu_x_over_mu(self, x):
-        return self._area_derivative(x) / (2.0 * self._area(x))
-
-    def _mu_of_zeta(self, nu, zeta):
-        return nu * np.sqrt(self._area(self._x_of_zeta(zeta)))
-
 
 @dataclass(frozen=True)
 class ConstantProfile(Profile):
@@ -139,7 +128,7 @@ class ConstantProfile(Profile):
     def _area(self, x):
         return np.ones(x.shape)
 
-    def _area_derivative(self, x):
+    def _mu_x_over_mu(self, x):
         return np.zeros(x.shape)
 
     def _zeta_of_x(self, x):
@@ -164,8 +153,8 @@ class ExponentialProfile(Profile):
     def _area(self, x):
         return np.exp(2.0 * self.alpha * x)
 
-    def _area_derivative(self, x):
-        return 2.0 * self.alpha * self._area(x)
+    def _mu_x_over_mu(self, x):
+        return np.full(x.shape, self.alpha, dtype=float)
 
     def _zeta_of_x(self, x):
         a = self.alpha
@@ -197,8 +186,8 @@ class SphericalProfile(Profile):
         base = 1.0 + x / self.radius
         return base * base
 
-    def _area_derivative(self, x):
-        return 2.0 * (1.0 + x / self.radius) / self.radius
+    def _mu_x_over_mu(self, x):
+        return 1.0 / (self.radius + x)
 
     def _zeta_of_x(self, x):
         return self.radius * np.log1p(x / self.radius)
@@ -239,8 +228,6 @@ class PowerLawProfile(Profile):
             object.__setattr__(self, "x_max", -1.0 / c)
         if self.beta1 < 0:
             object.__setattr__(self, "zeta_max", -self.beta0 / self.beta1)
-        object.__setattr__(self, "betas",
-                           (self.beta0, self.beta1, 0.0, self.m))
 
     def _base(self, x):
         base = 1.0 + self._c * x
@@ -250,10 +237,6 @@ class PowerLawProfile(Profile):
 
     def _area(self, x):
         return self._base(x) ** (2.0 * self.m / (self.beta1 + self.m))
-
-    def _area_derivative(self, x):
-        p = 2.0 * self.m / (self.beta1 + self.m)
-        return p * self._c * self._base(x) ** (p - 1.0)
 
     def _mu_x_over_mu(self, x):
         return self.m / (self.beta0 + (self.m + self.beta1) * x)
@@ -384,19 +367,10 @@ class BetaFamilyProfile(_TableMapProfile):
     def _area(self, x):
         return np.exp(2.0 * d_of_zeta(self.betas, self._zeta_of_x(x)))
 
-    def _area_derivative(self, x):
-        zeta = self._zeta_of_x(x)
-        return (2.0 * self.m * np.exp(d_of_zeta(self.betas, zeta))
-                / classifying_b(self.betas, zeta))
-
     def _mu_x_over_mu(self, x):
         zeta = self._zeta_of_x(x)
         return (self.m * np.exp(-d_of_zeta(self.betas, zeta))
                 / classifying_b(self.betas, zeta))
-
-    def _mu_of_zeta(self, nu, zeta):
-        # closed form; skips the zeta -> x -> zeta round trip of the base class
-        return nu * np.exp(d_of_zeta(self.betas, zeta))
 
 
 @dataclass(frozen=True)
@@ -425,22 +399,14 @@ class TabulatedProfile(_TableMapProfile):
             raise ConfigError("cross-section samples must be positive")
         object.__setattr__(self, "x_samples", x)
         object.__setattr__(self, "s_samples", s)
-        # the interpolant and its derivative are the area formulas
+        # the interpolant is the area formula; its derivative gives S'/(2S)
         interp = PchipInterpolator(x, s, extrapolate=False)
         object.__setattr__(self, "_area", interp)
-        object.__setattr__(self, "_area_derivative", interp.derivative())
+        object.__setattr__(self, "_area_slope", interp.derivative())
         self._tabulate_map(x, lambda t: 1.0 / np.sqrt(interp(t)), from_x=True)
 
-
-def load_profile_table(path, delimiter=None) -> TabulatedProfile:
-    """Read a two-column ``x S`` text file ('#' comments) into a profile.
-
-    Columns are separated by blanks, or by ``delimiter`` when given."""
-    data = np.loadtxt(path, comments="#", ndmin=2, delimiter=delimiter)
-    if data.shape[1] != 2:
-        raise ConfigError(
-            f"profile table must have two columns (x, S), got {data.shape[1]}")
-    return TabulatedProfile(data[:, 0], data[:, 1])
+    def _mu_x_over_mu(self, x):
+        return self._area_slope(x) / (2.0 * self._area(x))
 
 
 def classifying_b(betas, zeta):

@@ -224,10 +224,12 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
                         fields=result_fields, steps=steps)
 
 
-def residual(fields, zetas, params: PhysParams, profile: Profile,
-             grid: TauGrid, *, form="q"):
+def residual(fields, zetas, a, mu, grid: TauGrid, *, form="q"):
     """Max-norm equation defect over increasing, uniformly spaced stations.
 
+    ``fields`` holds one row of ``grid.n`` samples per station; ``a`` is
+    the nonlinearity and ``mu`` the absorption at each station, or one
+    value for all of them (the equation reads the duct through mu alone).
     Central differences along the march, spectral tau derivatives on
     periodic grids and central differences on windowed ones; only
     interior stations (and interior tau points, if windowed) count.
@@ -247,6 +249,12 @@ def residual(fields, zetas, params: PhysParams, profile: Profile,
         raise ConfigError(
             f"expected {zetas.size} fields of {grid.n} samples, "
             f"got {stack.shape}")
+    mu = np.asarray(mu, dtype=float)
+    try:
+        mu = np.broadcast_to(mu, zetas.shape)[1:-1, None]
+    except ValueError as err:
+        raise ConfigError(f"mu of shape {mu.shape} does not broadcast to "
+                          f"{zetas.size} stations") from err
 
     if grid.periodic:
         kap = grid.wavenumbers()
@@ -262,13 +270,11 @@ def residual(fields, zetas, params: PhysParams, profile: Profile,
         sl = slice(1, -1)
 
     d_z = (stack[2:, sl] - stack[:-2, sl]) / (2.0 * step)
-    mu = np.asarray(profile.mu_of_zeta(params.nu, zetas[1:-1]), dtype=float)
-    mu = mu[:, None]
     mid = stack[1:-1, sl]
     if form == "q":
-        defect = d_z - params.a * d_tau[1:-1] ** 2 - mu * d_tautau[1:-1]
+        defect = d_z - a * d_tau[1:-1] ** 2 - mu * d_tautau[1:-1]
     elif form == "u":
-        defect = d_z - params.a * mid * d_tau[1:-1] - mu * d_tautau[1:-1]
+        defect = d_z - a * mid * d_tau[1:-1] - mu * d_tautau[1:-1]
     else:
         raise ConfigError(f"form must be 'q' or 'u', got {form!r}")
     return float(np.max(np.abs(defect)))

@@ -15,8 +15,7 @@ from hornwave.grid import TauGrid
 from hornwave.invariant import (InvariantConfig, assemble_invariant_q,
                                 first_integral_solution, integrate_factor_ode)
 from hornwave.kernel import InitialCondition, kernel_quadrature, kernel_series
-from hornwave.profiles import (BetaFamilyProfile, ConstantProfile,
-                               ExponentialProfile)
+from hornwave.profiles import ConstantProfile, ExponentialProfile, d_of_zeta
 from hornwave.rg import PhysParams, evaluate_station
 from hornwave.solver import SolverConfig, residual, solve
 
@@ -141,10 +140,11 @@ def test_c6_invariant_exactness():
         zetas = np.linspace(0.0, 0.4, n_z)
         fields = [assemble_invariant_q(config, z, grid, orbit)
                   for z in zetas]
+        mu = duct.mu(params.nu, duct.x_of_zeta(zetas))
         if label == "coarse":
-            coarse = residual(fields, zetas, params, duct, grid)
+            coarse = residual(fields, zetas, params.a, mu, grid)
         else:
-            fine = residual(fields, zetas, params, duct, grid)
+            fine = residual(fields, zetas, params.a, mu, grid)
     ratio = coarse / fine
     ok &= coarse <= 1e-4 and ratio >= 3.0
     details.append(f"flare branch {coarse:.2e} (x{ratio:.1f} under doubling)")
@@ -154,16 +154,16 @@ def test_c6_invariant_exactness():
     config = InvariantConfig(betas=betas, params=params, w0=0.3, w0_slope=0.0)
     table = integrate_factor_ode(config, 0.9, lambda_min=-0.9, rtol=1e-12,
                                  atol=1e-12)
-    duct = BetaFamilyProfile(1.0, 0.0, 1.0, 1.0)
     for label, (n_tau, n_z) in (("coarse", (256, 64)), ("fine", (512, 128))):
         grid = TauGrid.windowed(-1.0, 1.0, n_tau)
         zetas = np.linspace(0.3, 0.8, n_z)
         fields = [assemble_invariant_q(config, z, grid, table)
                   for z in zetas]
+        mu = params.nu * np.exp(d_of_zeta(betas, zetas))
         if label == "coarse":
-            coarse = residual(fields, zetas, params, duct, grid)
+            coarse = residual(fields, zetas, params.a, mu, grid)
         else:
-            fine = residual(fields, zetas, params, duct, grid)
+            fine = residual(fields, zetas, params.a, mu, grid)
     ratio = coarse / fine
     ok &= coarse <= 1e-4 and ratio >= 3.0
     details.append(f"quadratic branch {coarse:.2e} (x{ratio:.1f})")

@@ -15,6 +15,7 @@ import hornwave
 import hornwave.cli  # noqa: F401  (the tracer patches names in the cli module)
 import hornwave.grid  # noqa: F401  (checks.series_gap reads hw.grid)
 import hornwave.kernel  # noqa: F401
+import hornwave.profiles  # noqa: F401  (the tracer patches profile methods)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,6 +45,18 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
     assert not tracer._patches
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_tracer_patches_every_public_profile_map(monkeypatch):
+    # the tracer skips a profile method it cannot find, so a renamed map
+    # would lose its spans without an error
+    maps = {name for name, value in vars(hornwave.Profile).items()
+            if callable(value) and not name.startswith("_")}
+    assert maps == {"area", "zeta_of_x", "x_of_zeta", "mu", "mu_x_over_mu"}
+    with _load_tracing(monkeypatch).Tracer(hornwave) as tracer:
+        patched = {attr for owner, attr, _ in tracer._patches
+                   if owner is hornwave.Profile}
+    assert patched == maps
 
 
 def test_every_workload_command_line_parses(monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hornwave import cli
+from hornwave import cli, profiles
 from hornwave.cli import (ComparisonReport, InvariantSpec, RunConfig, compare,
                           fig_config, load_config, main, read_field_table,
                           read_initial_table, read_profile_file, run,
@@ -417,6 +417,42 @@ out = {tmp_path / 'p'}
         duct = read_profile_file(table)
         np.testing.assert_allclose(duct.area(1.0), np.exp(0.3), rtol=1e-6)
 
+    def test_comment_and_whitespace_format(self, tmp_path):
+        path = tmp_path / "duct.txt"
+        xs = np.linspace(0.0, 2.0, 9)
+        lines = ["# x   S", *(f"{x:.6f}   {math.exp(0.4 * x):.12f}  # sample"
+                             for x in xs)]
+        path.write_text("\n".join(lines) + "\n")
+        duct = read_profile_file(path)
+        assert duct.area(1.0) == pytest.approx(math.exp(0.4), rel=1e-6)
+
+    @pytest.mark.parametrize("header, delimiter", [
+        ("x S", " "), ("x,S", ","), ("depth, section", ", ")],
+        ids=["blank", "comma", "any-names"])
+    def test_two_column_table_with_header_row(self, tmp_path, header,
+                                              delimiter):
+        # two columns are (x, S) by position, whatever the header says
+        xs = np.linspace(0.0, 2.0, 41)
+        rows = [header] + [f"{x:.17g}{delimiter}{math.exp(0.3 * x):.17g}"
+                           for x in xs]
+        table = tmp_path / "duct.dat"
+        table.write_text("\n".join(rows) + "\n")
+        duct = read_profile_file(table)
+        plain = tmp_path / "plain.dat"
+        plain.write_text("\n".join(rows[1:]) + "\n")
+        xq = np.linspace(0.0, 2.0, 17)
+        np.testing.assert_array_equal(duct.area(xq),
+                                      read_profile_file(plain).area(xq))
+        np.testing.assert_allclose(duct.area(1.0), np.exp(0.3), rtol=1e-6)
+
+    @pytest.mark.parametrize("header", ["", "x,S,mu\n"],
+                             ids=["headless", "no-area"])
+    def test_wider_table_must_name_x_and_area(self, tmp_path, header):
+        table = tmp_path / "duct.csv"
+        table.write_text(header + "".join(f"{x},1,1\n" for x in range(5)))
+        with pytest.raises(ConfigError, match="has no column"):
+            read_profile_file(table)
+
 
 class TestCompare:
 
@@ -519,6 +555,42 @@ out = {tmp_path / 'data'}
 """)
         assert main(["run", "--config", str(path)]) == 3
         assert "spectrum of exp(a W / nu) overflows" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command, body, key", [
+        ("run", "[params]\na = 1\nnu = 0\n[run]\n", "[params] nu"),
+        ("run", "[params]\na = 1\nnu = -1\n[run]\n", "[params] nu"),
+        ("run", "[params]\na = -1\n[run]\n", "[params] a"),
+        ("run", "[params]\na = 1\n[profile]\nkind = spherical\n"
+         "radius = -1\n[run]\nstations = 0.5, 1.5\n", "[run] stations"),
+        ("run", "[params]\na = 1\n[profile]\nkind = powerlaw\nbeta0 = 1\n"
+         "beta1 = -3\nm = 1\n[run]\nstations = 0.6\n", "[run] stations"),
+        ("run", "[params]\na = 1\n[run]\nstations = nan\noutputs = q0\n"
+         "grid_n = 64\n", "[run] stations"),
+        ("run", "[params]\na = 1\n[run]\nstations = 0.5\ngrid_n = 64\n"
+         "tol = nan\n", "tolerances"),
+        ("run", "[params]\na = 1\n[run]\nstations = 0.5\ngrid_n = 64\n"
+         "quad_rtol = inf\n", "tolerances"),
+        ("profile", "[params]\na = 1\n[profile]\nkind = spherical\n"
+         "radius = -1\nx_stop = 2\n[run]\n", "[profile] x_stop"),
+        ("invariant", "[params]\na = 1\n[invariant]\nbeta0 = 1\nbeta1 = 1\n"
+         "m = -1\nc0 = -0.1\nzeta_start = -0.2\nzeta_stop = 0.4\n"
+         "zeta_count = 8\ngrid_n = 64\n[run]\n", "[invariant] zeta_start"),
+        ("invariant", "[params]\na = 1\n[invariant]\nbeta0 = 1\n"
+         "beta1 = -2.5\nbeta2 = 1\nm = 1\nroute = ode\nw0 = 0.3\n"
+         "window_lo = -1\nwindow_hi = 1\nzeta_start = 0.1\n"
+         "zeta_stop = 0.7\nzeta_count = 8\ngrid_n = 64\n[run]\n",
+         "[invariant] zeta_stop"),
+    ], ids=["nu-zero", "nu-negative", "a-negative", "station-past-cone",
+            "station-past-power-law", "station-nan", "tol-nan",
+            "quad-rtol-inf", "x-stop-past-cone", "zeta-negative",
+            "zeta-past-root"])
+    def test_value_outside_the_model_domain_exits_2(self, tmp_path, capsys,
+                                                    command, body, key):
+        # each body ends in its [run] section
+        path = write_config(tmp_path, body + f"out = {tmp_path / 'data'}\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
     def test_profile_needs_x_stop(self, tmp_path, capsys):
@@ -690,6 +762,37 @@ out = {tmp_path / 'ode'}
         assert main(["invariant", "--config", str(path)]) == 0
         cols = read_field_table(tmp_path / "ode" / station_filename(0))
         assert cols["qinv"].size == 64
+
+    @pytest.mark.parametrize("route, section, line", [
+        ("orbit", "beta1 = 1.0\nbeta2 = 0.0\nm = -1.0\nc0 = -0.1\n"
+         "zeta_start = 0.0\nzeta_stop = 0.4\n",
+         "equation residual (central differences): 5.885e-05"),
+        ("ode", "beta1 = 0.0\nbeta2 = 1.0\nm = 1.0\nw0 = 0.3\n"
+         "window_lo = -1.0\nwindow_hi = 1.0\n"
+         "zeta_start = 0.3\nzeta_stop = 0.8\n",
+         "equation residual (central differences): 6.749e-06"),
+    ], ids=["orbit", "ode"])
+    def test_invariant_residual_builds_no_duct_table(
+            self, tmp_path, monkeypatch, capsys, route, section, line):
+        # the criterion-6 configs: the residual reads mu = nu exp(d(zeta))
+        # in closed form, so no coordinate table is ever built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a duct table was built")
+
+        monkeypatch.setattr(profiles._TableMapProfile, "_tabulate_map", refuse)
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+nu = 1.0
+[invariant]
+beta0 = 1.0
+route = {route}
+{section}zeta_count = 64
+[run]
+out = {tmp_path / 'inv'}
+""")
+        assert main(["invariant", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
 
     def test_run_without_invariant_section(self, tmp_path, capsys):
         path = small_config(tmp_path)

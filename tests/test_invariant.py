@@ -15,8 +15,8 @@ from hornwave.invariant import (InvariantConfig, OrbitTable,
                                 ShapeTable, assemble_invariant_q,
                                 first_integral_solution, integrate_factor_ode,
                                 nested_area_integral, similarity_vars)
-from hornwave.profiles import (BetaFamilyProfile, ExponentialProfile,
-                               PowerLawProfile, classifying_b, d_of_zeta)
+from hornwave.profiles import (BetaFamilyProfile, PowerLawProfile,
+                               classifying_b, d_of_zeta)
 from hornwave.rg import PhysParams
 from hornwave.solver import residual
 
@@ -352,17 +352,18 @@ class TestAssembly:
         cfg = InvariantConfig(betas=betas, params=UNIT, w0=0.3, w0_slope=0.0)
         table = integrate_factor_ode(cfg, 0.9, lambda_min=-0.9,
                                      rtol=1e-12, atol=1e-12)
-        profile = BetaFamilyProfile(*betas)
         grid = TauGrid.windowed(-1.0, 1.0, 256)
         zetas = np.linspace(0.3, 0.8, 64)
         fields = [assemble_invariant_q(cfg, z, grid, table) for z in zetas]
-        coarse = residual(fields, zetas, cfg.params, profile, grid)
+        coarse = residual(fields, zetas, 1.0, np.exp(d_of_zeta(betas, zetas)),
+                          grid)
         assert coarse < 1e-4
 
         grid2 = TauGrid.windowed(-1.0, 1.0, 512)
         zetas2 = np.linspace(0.3, 0.8, 128)
         fields2 = [assemble_invariant_q(cfg, z, grid2, table) for z in zetas2]
-        fine = residual(fields2, zetas2, cfg.params, profile, grid2)
+        fine = residual(fields2, zetas2, 1.0,
+                        np.exp(d_of_zeta(betas, zetas2)), grid2)
         assert coarse / fine > 3.0  # second-order defect decay
 
     def test_full_field_solves_the_equation_orbit_branch(self):
@@ -370,15 +371,15 @@ class TestAssembly:
         cfg = InvariantConfig(betas=(1.0, 1.0, 0.0, -1.0), params=UNIT, c0=-0.1)
         orbit = first_integral_solution(-1.0, 1.0, -0.1)
         grid = TauGrid(n=256, period=orbit.period)
-        profile = ExponentialProfile(-1.0)  # same duct: mu/nu = 1/(1 + zeta)
+        # the exponential duct of flare -1: mu/nu = 1/(1 + zeta)
         zetas = np.linspace(0.0, 0.4, 64)
         fields = [assemble_invariant_q(cfg, z, grid, orbit) for z in zetas]
-        coarse = residual(fields, zetas, cfg.params, profile, grid)
+        coarse = residual(fields, zetas, 1.0, 1.0 / (1.0 + zetas), grid)
         assert coarse < 1e-4
 
         zetas2 = np.linspace(0.0, 0.4, 128)
         fields2 = [assemble_invariant_q(cfg, z, grid, orbit) for z in zetas2]
-        fine = residual(fields2, zetas2, cfg.params, profile, grid)
+        fine = residual(fields2, zetas2, 1.0, 1.0 / (1.0 + zetas2), grid)
         assert coarse / fine > 3.0
 
     def test_viscosity_placement_in_the_assembly(self):
@@ -389,10 +390,9 @@ class TestAssembly:
                               params=PhysParams(1.0, nu), c0=-0.05)
         orbit = first_integral_solution(-1.0, 1.0, -0.05, nu=nu)
         grid = TauGrid(n=256, period=orbit.period)
-        profile = ExponentialProfile(-1.0)
         zetas = np.linspace(0.0, 0.2, 65)
         fields = [assemble_invariant_q(cfg, z, grid, orbit) for z in zetas]
-        assert residual(fields, zetas, cfg.params, profile, grid) < 2e-5
+        assert residual(fields, zetas, 1.0, nu / (1.0 + zetas), grid) < 2e-5
 
     @pytest.mark.parametrize("route", ["ode", "orbit"])
     def test_stations_in_one_call_match_one_at_a_time(self, route):

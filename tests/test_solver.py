@@ -242,12 +242,32 @@ class TestResidual:
         zline = np.arange(1.0 - 2 * dz, 1.0 + 2.5 * dz, dz)
         xs = tuple(float(FLARE.x_of_zeta(z)) for z in zline)
         r = solve(COS, params, FLARE, GRID, SolverConfig(tol=1e-8, stations=xs))
-        assert residual(r.fields, zline, params, FLARE, r.grid) <= 1e-7
+        mu = FLARE.mu(params.nu, FLARE.x_of_zeta(zline))
+        assert residual(r.fields, zline, params.a, mu, r.grid) <= 1e-7
+
+    def test_scalar_and_station_mu_agree(self):
+        # mu is one value for all stations or one per station
+        g = TauGrid.periodic_default(64)
+        zline = np.array([0.999, 1.0, 1.001])
+        fields = [np.exp(-0.5 * z) * np.cos(g.tau) for z in zline]
+        one = residual(fields, zline, 0.0, 0.5, g)
+        assert one <= 1e-6
+        assert residual(fields, zline, 0.0, np.full(3, 0.5), g) == one
+        # mu enters at the interior station alone
+        assert residual(fields, zline, 0.0, [9.0, 0.5, 9.0], g) == one
+        assert residual(fields, zline, 0.0, 0.6, g) > 1e-2
+
+    @pytest.mark.parametrize("mu", [np.ones(2), np.ones(4), np.ones((3, 2))],
+                             ids=["short", "long", "two-d"])
+    def test_mu_that_does_not_fit_the_stations_rejected(self, mu):
+        g = TauGrid.periodic_default(32)
+        with pytest.raises(ConfigError, match="mu"):
+            residual([np.zeros(g.n)] * 3, [0.0, 0.1, 0.2], 1.0, mu, g)
 
     def test_constant_field_is_exact(self):
         g = TauGrid.periodic_default(32)
         fields = [np.full(g.n, 0.7) for _ in range(3)]
-        out = residual(fields, [0.0, 0.1, 0.2], PhysParams(0.0, 1.0), CHANNEL, g)
+        out = residual(fields, [0.0, 0.1, 0.2], 0.0, 1.0, g)
         assert out == 0.0
 
     def test_heat_solution_on_windowed_grid(self):
@@ -257,7 +277,7 @@ class TestResidual:
             g = TauGrid.windowed(0.0, math.pi / 2.0, n)
             zline = np.array([0.999, 1.0, 1.001])
             fields = [np.exp(-z) * np.cos(g.tau) for z in zline]
-            return residual(fields, zline, PhysParams(0.0, 1.0), CHANNEL, g)
+            return residual(fields, zline, 0.0, 1.0, g)
 
         coarse, fine = defect(65), defect(129)
         assert coarse <= 1e-4
@@ -267,23 +287,21 @@ class TestResidual:
         g = TauGrid.periodic_default(64)
         zline = np.array([0.999, 1.0, 1.001])
         fields = [np.exp(-z) * np.cos(g.tau) for z in zline]
-        out = residual(fields, zline, PhysParams(0.0, 1.0), CHANNEL, g, form="u")
+        out = residual(fields, zline, 0.0, 1.0, g, form="u")
         assert out <= 1e-6
 
     def test_non_uniform_spacing_rejected(self):
         g = TauGrid.periodic_default(32)
         fields = [np.zeros(g.n)] * 3
         with pytest.raises(SpacingError):
-            residual(fields, [0.0, 0.1, 0.25], PhysParams(1.0, 1.0), CHANNEL, g)
+            residual(fields, [0.0, 0.1, 0.25], 1.0, 1.0, g)
 
     def test_zero_step_rejected(self):
         g = TauGrid.periodic_default(32)
         with pytest.raises(SpacingError):
-            residual([np.zeros(g.n)] * 3, [0.2, 0.2, 0.2],
-                     PhysParams(1.0, 1.0), CHANNEL, g)
+            residual([np.zeros(g.n)] * 3, [0.2, 0.2, 0.2], 1.0, 1.0, g)
 
     def test_too_few_stations_rejected(self):
         g = TauGrid.periodic_default(32)
         with pytest.raises(SpacingError):
-            residual([np.zeros(g.n)] * 2, [0.0, 0.1],
-                     PhysParams(1.0, 1.0), CHANNEL, g)
+            residual([np.zeros(g.n)] * 2, [0.0, 0.1], 1.0, 1.0, g)
