@@ -381,8 +381,6 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
     if cp.has_section("run"):
         if cp.has_option("run", "stations"):
             stations = _need(cp, "run", "stations", _float_list)
-            _in_domain("[run] stations", profile.zeta_of_x,
-                       np.asarray(stations) / nu)
         if cp.has_option("run", "outputs"):
             outputs = _need(cp, "run", "outputs", _name_list)
         grid_n = _opt(cp, "run", "grid_n", grid_n, int)
@@ -434,6 +432,8 @@ def run(config: RunConfig):
 
     nu = config.params.nu
     x_stations = tuple(s / nu for s in config.stations)
+    _in_domain("[run] stations", config.profile.zeta_of_x,
+               np.asarray(x_stations))
     per_station = [{} for _ in x_stations]
 
     if analytic:

@@ -15,10 +15,10 @@ On a periodic grid the quadrature route has one path, kernel_k.  It builds
 e = exp(a W / nu) once on a working grid that resolves it, then smooths it
 with heat_smoother in one of two ways, chosen from e alone.  When
 e.max() / e.min() is at most _FFT_RANGE_LIMIT, it multiplies the spectrum
-by exp(-nu k^2 x).  Above that, it keeps the direct trapezoid sum with
-clipped, nonnegative weights, because only that sum keeps K positive when
-e spans many decades.  kernel_quadrature reads K at one station from that
-evaluator.
+by exp(-nu k^2 x).  Above that, it sums e against the periodized Gaussian
+itself.  Those weights are exact to rounding, so K keeps a few eps of its
+own size at every point, troughs included.  kernel_quadrature reads K at
+one station from that evaluator.
 
 The quadrature route computes K alone, plus dK/da at a = 0, where K is 1
 and dK/da is the heat smoothing of W/nu.  The amplitude derivatives at
@@ -53,6 +53,7 @@ _SERIES_TAIL_RTOL = 1e-14
 _SPECTRUM_TAIL_RTOL = 1e-12
 _MAX_REFINEMENTS = 8
 _WINDOW_MASS_LIMIT = 1e-10
+_NEGLIGIBLE_EXPONENT = 41.5   # exp(-41.5) ~ 1e-18: a factor below rounding
 # Largest e.max() / e.min() the spectral smoothing takes.  Its error is a few
 # eps max(e) at every point, so relative to the smallest K it grows with the
 # range: against a 40-digit Bessel sum (harmonic signal, stations down to
@@ -272,16 +273,12 @@ def _resample_periodic(values, n_new):
 
 @dataclass(frozen=True)
 class KernelField:
-    """K, dK/da, d2K/da2 sampled on a grid at one station x.
+    """K, dK/da, d2K/da2 on the caller's grid at the station it asked for.
 
     kernel_series fills all three.  kernel_quadrature fills K, and dK/da
     only at a = 0; the fields it does not compute are None.
     """
 
-    a: float
-    nu: float
-    x: float
-    grid: TauGrid
     k: np.ndarray
     k_a: Optional[np.ndarray] = None
     k_aa: Optional[np.ndarray] = None
@@ -314,8 +311,7 @@ def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
         k, k_a = np.ones(grid.n), heat_smoother(wn, grid, nu, True)(x)
     else:
         k, k_a = kernel_k(ic, a, nu, grid)(x), None
-    return KernelField(a=float(a), nu=float(nu), x=float(x), grid=grid,
-                       k=k, k_a=k_a)
+    return KernelField(k=k, k_a=k_a)
 
 
 def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
@@ -349,7 +345,7 @@ def _weight_points(grid, nu, x):
     must have exp(-nu kappa^2 x) below rounding."""
     if x == 0.0:
         return 0.0
-    return (grid.period / math.pi) * math.sqrt(41.5 / (nu * x))
+    return (grid.period / math.pi) * math.sqrt(_NEGLIGIBLE_EXPONENT / (nu * x))
 
 
 def _signal_exponential(ic, a, nu, grid, min_points=0.0):
@@ -399,22 +395,27 @@ def heat_smoother(f, grid: TauGrid, nu, spectral):
     The spectral route takes the spectrum of f once and multiplies it by
     exp(-nu kappa^2 x), the arithmetic of heat_propagate; its rounding
     error is a few eps max|f| everywhere.  The direct route sums f against
-    the periodic Gaussian weights.
+    the periodized Gaussian, each weight exact to rounding, so it keeps a
+    nonnegative f to a few eps of itself at every point.
     """
     kappa = grid.wavenumbers()
     spec = np.fft.rfft(f) if spectral else None
+    h, n = grid.period / grid.n, grid.n
+    offsets = h * ((np.arange(n) + n // 2) % n - n // 2)   # in [-P/2, P/2)
 
     def smooth(x):
         if x == 0.0:
             return f.copy()                    # delta limit of the Gaussian
-        decay = np.exp(-nu * kappa * kappa * x)
         if spectral:
-            return np.fft.irfft(spec * decay, n=grid.n)
-        # negative lobes are pure truncation noise; clipping them makes the
-        # convolution a sum of nonnegative terms, so K stays positive even
-        # when the signal exponential spans many decades
-        weights = np.maximum(np.fft.irfft(decay, n=grid.n), 0.0)
-        return _circular_convolve(f, weights)
+            return np.fft.irfft(spec * np.exp(-nu * kappa * kappa * x), n=n)
+        # image m's exponent is at least m (m - 1) P^2 / (4 nu x) past the
+        # nearest image's; it is dropped once that excess is negligible
+        spread = 4.0 * nu * x
+        m = int(0.5 + math.sqrt(0.25 + _NEGLIGIBLE_EXPONENT * spread
+                                / grid.period ** 2))
+        images = offsets + grid.period * np.arange(-m, m + 1)[:, None]
+        weights = np.exp(-images * images / spread).sum(axis=0)
+        return _circular_convolve(f, weights * (h / math.sqrt(math.pi * spread)))
 
     return smooth
 
@@ -454,8 +455,7 @@ def _kernel_windowed(ic, a, nu, x, grid):
         k, k_a = np.ones(grid.n), smoothed
     else:
         k, k_a = 1.0 + smoothed, None
-    return KernelField(a=float(a), nu=float(nu), x=float(x), grid=grid,
-                       k=k, k_a=k_a)
+    return KernelField(k=k, k_a=k_a)
 
 
 def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):
@@ -504,8 +504,7 @@ def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):
     k = assemble(iv[0], iv[1:kmax + 1])
     k_a = s * assemble(iv_d[0], iv_d[1:kmax + 1])
     k_aa = s * s * assemble(iv_dd[0], iv_dd[1:kmax + 1])
-    return KernelField(a=float(a), nu=float(nu), x=float(x), grid=grid,
-                       k=k, k_a=k_a, k_aa=k_aa)
+    return KernelField(k=k, k_a=k_a, k_aa=k_aa)
 
 
 def _series_order(z):

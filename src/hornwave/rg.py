@@ -1,18 +1,20 @@
 """Approximate analytic solutions for slowly varying channels.
 
-Three fields, all built from the kernel module:
+Three fields at a station, each a function of (params, profile, ic, x, grid):
 
-  zero_order    (mu/a) log[1 + (nu/mu)(K - 1)], exact on constant channels
-  first_order   zero_order plus a path integral correcting for the
+  zero_order    (mu/a) log[(1 - nu/mu) + (nu/mu) K]; on a constant channel
+                the exact Cole-Hopf field (nu/a) log K
+  first_order   the same log, of K less a path integral correcting for the
                 variation of the absorption mu(x) along the channel
   perturbative  the small-amplitude expansion of first_order through O(a)
 
-The logarithm argument going non-positive marks the physical limit of the
-approximation; that is always an error here, never a clamp.  The single
-exception is the log inside the first-order path integrand, which is
-evaluated through its continuous (real-part) extension: the integrand must
-stay integrable across a breakdown window even when stations beyond it are
-perfectly regular.
+One helper forms the log argument from K itself, never from K - 1, so it
+keeps its precision where K is tiny.  The argument going non-positive marks
+the physical limit of the approximation; that is always an error here,
+never a clamp.  The single exception is the log inside the first-order path
+integrand, which is evaluated through its continuous (real-part) extension:
+the integrand must stay integrable across a breakdown window even when
+stations beyond it are perfectly regular.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import (BreakdownError, ConfigError, DomainError, QuadratureError,
                      RangeOverflowError)
 from .grid import TauGrid
-from .kernel import (InitialCondition, KernelField, heat_smoother, kernel_k,
+from .kernel import (InitialCondition, heat_smoother, kernel_k,
                      kernel_quadrature)
 from .profiles import Profile
 
@@ -59,7 +61,13 @@ class RGSolution:
     qpt: Optional[np.ndarray] = None
 
 
-def _log_argument_or_raise(arg, x, grid, label):
+def _log_argument(k, nu_over_mu, correction=0.0):
+    """1 + (nu/mu)(K - C - 1), formed from K: it is K - C where nu = mu."""
+    return (1.0 - nu_over_mu) + nu_over_mu * (k - correction)
+
+
+def _log_field(params, mu, k, x, grid, label, correction=0.0):
+    arg = _log_argument(k, params.nu / mu, correction)
     bad = np.nonzero(arg <= 0.0)[0]
     if bad.size:
         i = int(bad[0])
@@ -67,62 +75,55 @@ def _log_argument_or_raise(arg, x, grid, label):
             f"{label} logarithm argument {arg[i]:.3e} <= 0 at "
             f"x = {x:g}, tau = {grid.tau[i]:.6g}; the approximation has "
             "broken down here", x=x, tau=float(grid.tau[i]))
+    return (mu / params.a) * np.log(arg)
 
 
-def zero_order(params: PhysParams, profile: Profile, kernel: KernelField):
-    """Leading-order field from a precomputed kernel at its station."""
-    x, grid = kernel.x, kernel.grid
-    mu = profile.mu(params.nu, x)
+def zero_order(params: PhysParams, profile: Profile, ic: InitialCondition,
+               x, grid: TauGrid):
+    """Leading-order field at station x, from K there."""
+    x = float(x)
+    kernel = kernel_quadrature(ic, params.a, params.nu, x, grid)
     if params.a == 0.0:
         return params.nu * kernel.k_a      # linear heat solution
-    eps = (params.nu / mu) * (kernel.k - 1.0)
-    _log_argument_or_raise(1.0 + eps, x, grid, "zero-order")
-    return (mu / params.a) * np.log1p(eps)
+    return _log_field(params, profile.mu(params.nu, x), kernel.k, x, grid,
+                      "zero-order")
 
 
-def _bracket(kvals, mu_over_nu):
+def _bracket(kvals, nu_over_mu):
     """First-order path integrand in tau, continuously extended.
 
-    u log|arg| is the real part of u log(arg); it keeps the integrand
-    continuous through the window where arg crosses zero.
+    With the zero-order argument r it is 1 - K + (mu/nu) r log|r|, whose
+    real-part log keeps it continuous through the window where r crosses 0.
     """
-    u = kvals - 1.0 + mu_over_nu
-    arg = u / mu_over_nu
+    r = _log_argument(kvals, nu_over_mu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        term = np.where(u != 0.0, u * np.log(np.abs(arg)), 0.0)
-        return 1.0 - kvals + term
+        term = np.where(r != 0.0, r * np.log(np.abs(r)), 0.0)
+        return 1.0 - kvals + term / nu_over_mu
 
 
 def first_order(params: PhysParams, profile: Profile, ic: InitialCondition,
-                x, grid: TauGrid, *, quad_rtol=1e-6,
-                outer_kernel: Optional[KernelField] = None):
+                x, grid: TauGrid, *, quad_rtol=1e-6):
     """Gradient-corrected field at station x.
 
-    The path integral reads K alone at its nodes, from one K evaluator
-    built for the station, which also gives K at x' = x unless the
-    station's own kernel is passed in.
+    The path integral reads K alone, at its nodes and at x, from one K
+    evaluator built for the station.  At a = 0 the correction is O(a^2).
     """
     x, nu = float(x), params.nu
-    if x < 0.0:
-        raise DomainError(f"station must be >= 0, got {x:g}")
-    if params.a > 0.0 and not grid.periodic:
+    if params.a == 0.0:
+        return zero_order(params, profile, ic, x, grid)
+    if not grid.periodic:
         raise ConfigError("q1 needs a periodic grid at a > 0: its path "
                           "integral is spectral, and this grid is windowed")
-    if params.a == 0.0:   # the correction is O(a^2)
-        kernel = outer_kernel or kernel_quadrature(ic, 0.0, nu, x, grid)
-        return nu * kernel.k_a
-    mu = profile.mu(nu, x)
     k_at = kernel_k(ic, params.a, nu, grid)
-    k_x = k_at(x) if outer_kernel is None else outer_kernel.k
+    k_x = k_at(x)                       # checks the station
+    mu = profile.mu(nu, x)
 
     def node_field(xp, mu_p):
-        return _bracket(k_x if xp == x else k_at(xp), mu_p / nu)
+        return _bracket(k_x if xp == x else k_at(xp), nu / mu_p)
 
     correction = _convolved_path_integral(profile, node_field, x, grid, nu,
                                           rtol=quad_rtol)
-    combined = (nu / mu) * (k_x - 1.0 - correction)
-    _log_argument_or_raise(1.0 + combined, x, grid, "first-order")
-    return (mu / params.a) * np.log1p(combined)
+    return _log_field(params, mu, k_x, x, grid, "first-order", correction)
 
 
 def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
@@ -212,16 +213,14 @@ def _convolved_path_integral(profile: Profile, node_field, x, grid: TauGrid,
 def evaluate_station(params: PhysParams, profile: Profile,
                      ic: InitialCondition, x, grid: TauGrid,
                      fields=("q0", "q1", "qpt"), *, quad_rtol=1e-6):
-    """Requested analytic fields at one station, sharing the outer kernel."""
+    """Requested analytic fields at one station."""
     x = float(x)
     out = {}
-    kernel = None
     if "q0" in fields:
-        kernel = kernel_quadrature(ic, params.a, params.nu, x, grid)
-        out["q0"] = zero_order(params, profile, kernel)
-    if "q1" in fields:     # builds the kernel itself, after its grid check
+        out["q0"] = zero_order(params, profile, ic, x, grid)
+    if "q1" in fields:
         out["q1"] = first_order(params, profile, ic, x, grid,
-                                quad_rtol=quad_rtol, outer_kernel=kernel)
+                                quad_rtol=quad_rtol)
     if "qpt" in fields:
         out["qpt"] = perturbative(params, profile, ic, x, grid,
                                   quad_rtol=quad_rtol)

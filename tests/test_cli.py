@@ -593,6 +593,17 @@ out = {tmp_path / 'data'}
         assert key in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    def test_default_station_is_checked_before_any_output(self, tmp_path,
+                                                          capsys):
+        # with no [run] stations line the run reads station 1, which lies at
+        # this cone's focal point: a configuration error naming the key
+        path = write_config(tmp_path, "[params]\na = 1\n[profile]\n"
+                            "kind = spherical\nradius = -1\n[run]\n"
+                            f"out = {tmp_path / 'data'}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "[run] stations" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_profile_needs_x_stop(self, tmp_path, capsys):
         path = small_config(tmp_path)
         assert main(["profile", "--config", str(path)]) == 2

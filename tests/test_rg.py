@@ -7,17 +7,19 @@ elementary, so the whole path-integral stack is checked end to end.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hornwave import kernel as kernel_module
 from hornwave import rg
 from hornwave.errors import (BreakdownError, ConfigError, DomainError,
                              RangeOverflowError)
 from hornwave.grid import TauGrid
-from hornwave.kernel import (InitialCondition, bessel_i_sequence,
-                             kernel_quadrature)
+from hornwave.kernel import InitialCondition, bessel_i_sequence
 from hornwave.profiles import ConstantProfile, ExponentialProfile
 from hornwave.rg import (
     PhysParams,
@@ -26,10 +28,12 @@ from hornwave.rg import (
     perturbative,
     zero_order,
 )
+from hornwave.solver import SolverConfig, solve
 
 GRID = TauGrid.periodic_default(256)
 COS = InitialCondition.harmonic()
 FLARE = ExponentialProfile(-0.1)
+RANGE_EXPONENT = math.log(kernel_module._FFT_RANGE_LIMIT)
 
 
 def small_amplitude_oracle(a, nu, alpha, x, tau):
@@ -105,23 +109,108 @@ class TestConstantChannel:
     def test_far_field_saturates_at_log_mean(self):
         # all harmonics decay, K -> I_0(a/nu), so q -> (nu/a) log I_0
         params = PhysParams(1.0, 1.0)
-        kf = kernel_quadrature(COS, 1.0, 1.0, 40.0, GRID)
-        q0 = zero_order(params, ConstantProfile(), kf)
+        q0 = zero_order(params, ConstantProfile(), COS, 40.0, GRID)
         assert np.max(np.abs(q0 - math.log(bessel_i_sequence(1, 1.0)[0]))) <= 1e-14
 
     def test_first_order_collapses_to_zero_order(self):
         params = PhysParams(1.0, 1.0)
-        kf = kernel_quadrature(COS, 1.0, 1.0, 0.7, GRID)
-        q0 = zero_order(params, ConstantProfile(), kf)
-        q1 = first_order(params, ConstantProfile(), COS, 0.7, GRID,
-                         outer_kernel=kf)
+        q0 = zero_order(params, ConstantProfile(), COS, 0.7, GRID)
+        q1 = first_order(params, ConstantProfile(), COS, 0.7, GRID)
         assert np.array_equal(q0, q1)
 
     def test_zero_amplitude_is_heat_decay(self):
         params = PhysParams(0.0, 1.0)
-        kf = kernel_quadrature(COS, 0.0, 1.0, 0.5, GRID)
-        q0 = zero_order(params, ConstantProfile(), kf)
+        q0 = zero_order(params, ConstantProfile(), COS, 0.5, GRID)
         assert np.max(np.abs(q0 - math.exp(-0.5) * np.cos(GRID.tau))) <= 1e-13
+
+
+def constant_duct_q0(a_nu, ic, x, grid):
+    return evaluate_station(PhysParams(a_nu, 1.0), ConstantProfile(), ic, x,
+                            grid, fields=("q0",)).q0
+
+
+def hopf_lax_envelope(tau, ax):
+    """max over xi of cos(xi) - (tau - xi)^2 / (4 a x), for a x < 1/2.
+
+    The bracket is strictly concave there, so Newton's method from
+    xi = tau finds its one maximizer.
+    """
+    xi = tau.copy()
+    for _ in range(50):
+        xi -= ((np.sin(xi) - (tau - xi) / (2.0 * ax))
+               / (np.cos(xi) + 1.0 / (2.0 * ax)))
+    return np.cos(xi) - (tau - xi) ** 2 / (4.0 * ax)
+
+
+@st.composite
+def shifted_signals(draw):
+    """(table of W, a, span of W, c) at nu = 1: up to three cosine modes on
+    a 64-point grid, with a taking exp(a W) to at most the spectral range
+    limit.  The span is taken on a dense grid, which bounds it on any
+    working grid."""
+    grid = TauGrid.periodic_default(64)
+    modes = draw(st.lists(st.tuples(st.integers(1, 8), st.floats(-1.0, 1.0),
+                                    st.floats(0.0, 2 * math.pi)),
+                          min_size=1, max_size=3))
+
+    def w(tau):
+        return sum(c * np.cos(j * tau + p) for j, c, p in modes)
+
+    span = max(np.ptp(w(TauGrid.periodic_default(4096).tau)), 1e-3)
+    a = draw(st.floats(0.05, 0.98)) * RANGE_EXPONENT / span
+    shift = draw(st.floats(-3.0, 3.0))
+    assume(a * (span + abs(shift)) <= 300.0)
+    return w(grid.tau), grid, a, span, shift
+
+
+class TestConstantChannelAtStrongCoupling:
+    # q0 = (nu/a) log K is the exact Cole-Hopf field on a constant duct, and
+    # must stay so in the troughs, where K falls to e^{-2a/nu} of its peak
+
+    @pytest.mark.parametrize("a_nu", [25.0, 50.0])
+    def test_q0_matches_the_march(self, a_nu):
+        # at n = 1024 the march agrees with a 60-digit Cole-Hopf integral to
+        # about 1e-11 at tau = pi
+        grid, xs = TauGrid.periodic_default(1024), (0.002, 0.01, 0.05)
+        marched = solve(COS, PhysParams(a_nu, 1.0), ConstantProfile(), grid,
+                        SolverConfig(tol=1e-10, stations=xs))
+        for x, ref in zip(xs, marched.fields):
+            q0 = constant_duct_q0(a_nu, COS, x, grid)
+            assert np.max(np.abs(q0 - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_q0_tends_to_the_hopf_lax_envelope(self):
+        # at fixed a x below breaking the gap to the inviscid envelope
+        # falls as nu/a, well past the a/nu the march can afford
+        grid, ax = TauGrid.periodic_default(2048), 0.25
+        envelope = hopf_lax_envelope(grid.tau, ax)
+        ratios = np.array([25.0, 50.0, 100.0, 200.0, 350.0])
+        gaps = [np.max(np.abs(constant_duct_q0(r, COS, ax / r, grid)
+                              - envelope)) for r in ratios]
+        slope = np.polyfit(np.log(ratios), np.log(gaps), 1)[0]
+        assert abs(slope + 1.0) <= 0.2
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(signal=shifted_signals(), nux=st.floats(1e-3, 3.0))
+    def test_shifting_the_signal_shifts_q0(self, signal, nux):
+        # W + c multiplies K by e^{a c / nu}, so q0 moves by c exactly.  Each
+        # route rounds K as in test_kernel: the direct sum to a few eps of
+        # itself, the spectral one to a few eps of max(e); the exponent and
+        # the log add a few eps of |W| + |c|
+        w, grid, a, span, shift = signal
+        eps = np.finfo(float).eps
+        rounding = 16.0 * eps * (np.max(np.abs(w)) + abs(shift))
+        for limit, scale in ((kernel_module._FFT_RANGE_LIMIT,
+                              math.exp(a * span)), (0.0, 1.0)):
+            with (mock.patch.object(kernel_module, "_FFT_RANGE_LIMIT", limit),
+                  mock.patch.object(kernel_module, "_circular_convolve",
+                                    wraps=kernel_module._circular_convolve)
+                  as conv):
+                base, moved = [
+                    constant_duct_q0(a, InitialCondition.tabulated(w + c, grid),
+                                     nux, grid) for c in (0.0, shift)]
+            assert (conv.call_count > 0) == (limit == 0.0)
+            gap = np.max(np.abs(moved - base - shift))
+            assert gap <= 16.0 * eps * scale / a + rounding
 
 
 class TestSmallAmplitude:
@@ -206,16 +295,14 @@ class TestBreakdown:
         # strong nonlinearity, narrowing channel: the log argument dips
         # negative near the throat before recovering downstream
         params = PhysParams(10.0, 1.0)
-        kf = kernel_quadrature(COS, 10.0, 1.0, 0.05, GRID)
         with pytest.raises(BreakdownError) as err:
-            zero_order(params, FLARE, kf)
+            zero_order(params, FLARE, COS, 0.05, GRID)
         assert err.value.x == 0.05
         assert abs(err.value.tau - math.pi) < 1.0
 
     def test_stations_beyond_window_recover(self):
         params = PhysParams(10.0, 1.0)
-        kf = kernel_quadrature(COS, 10.0, 1.0, 0.2, GRID)
-        q0 = zero_order(params, FLARE, kf)      # no raise
+        q0 = zero_order(params, FLARE, COS, 0.2, GRID)      # no raise
         assert np.all(np.isfinite(q0))
 
     def test_first_order_integrates_through_window(self):
@@ -237,8 +324,8 @@ class TestEvaluateStation:
         params = PhysParams(1.0, 1.0)
         sol = evaluate_station(params, FLARE, COS, 0.4, GRID,
                                fields=("q0", "q1"))
-        kf = kernel_quadrature(COS, 1.0, 1.0, 0.4, GRID)
-        assert np.max(np.abs(sol.q0 - zero_order(params, FLARE, kf))) == 0.0
+        q0 = zero_order(params, FLARE, COS, 0.4, GRID)
+        assert np.max(np.abs(sol.q0 - q0)) == 0.0
 
     def test_q1_station_builds_one_signal_exponential(self, monkeypatch):
         # without q0 there is no station kernel to share: q1 reads K at x
@@ -332,7 +419,6 @@ class TestPathIntegralNodes:
         # the nodes read K alone: spectrally below the range limit of the
         # signal exponential (e^20 here), by one direct sum above it (e^100)
         grid, x = TauGrid.periodic_default(64), 0.5
-        outer = kernel_quadrature(COS, a_nu, 1.0, x, grid)
         node_arrays, sums = [], []
         profile_cls = type(FLARE)
         mu, convolve = profile_cls.mu, kernel_module._circular_convolve
@@ -349,10 +435,10 @@ class TestPathIntegralNodes:
         monkeypatch.setattr(profile_cls, "mu", recorded_mu)
         monkeypatch.setattr(kernel_module, "_circular_convolve",
                             counted_convolve)
-        first_order(PhysParams(a_nu, 1.0), FLARE, COS, x, grid,
-                    outer_kernel=outer)
+        first_order(PhysParams(a_nu, 1.0), FLARE, COS, x, grid)
         nodes = np.concatenate(node_arrays)
-        # x' = 0 is the delta limit and x' = x reuses the station kernel
+        # x' = 0 is the delta limit, and x' = x reuses K at the station,
+        # which costs one more sum
         smoothed = np.count_nonzero((nodes > 0.0) & (nodes != x))
         assert smoothed > 0
-        assert len(sums) == per_node * smoothed
+        assert len(sums) == per_node * (smoothed + 1)
