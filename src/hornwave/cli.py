@@ -18,15 +18,16 @@ import configparser
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import (ConfigError, DomainError, HornWaveError,
                      SingularProfileError)
 from .grid import TWO_PI, TauGrid
-from .invariant import (InvariantConfig, assemble_invariant_q,
+from .invariant import (InvariantConfig, OrbitTable, assemble_invariant_q,
                         first_integral_solution, integrate_factor_ode)
 from .kernel import InitialCondition
 from .profiles import (BetaFamilyProfile, ConstantProfile, ExponentialProfile,
@@ -139,45 +140,29 @@ def station_filename(index):
 
 @dataclass(frozen=True)
 class InvariantSpec:
-    """Parsed [invariant] section: duct, route, and evaluation patch.
-
-    The orbit route builds its W ``table`` once, after the branch check; a
-    sample count as ``grid`` then means one orbit period of that many.
-    """
+    """Parsed [invariant] section: the duct and W data, the zeta stations,
+    the tau grid, and the orbit route's W ``table`` (None: the ode route)."""
 
     config: InvariantConfig
-    route: str
     zeta: tuple
-    grid: TauGrid | int
-    table: object = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        b0, b1, b2, m = self.config.betas
-        if self.route == "orbit":
-            if b2 != 0.0 or b1 != -m:
-                raise ConfigError(
-                    "the orbit route needs the constant-flare branch "
-                    "(beta2 = 0, beta1 = -M)")
-            table = first_integral_solution(
-                m, self.config.params.a, self.config.c0,
-                c1=self.config.c1, nu=self.config.params.nu)
-            object.__setattr__(self, "table", table)
-        if isinstance(self.grid, int):
-            if self.route != "orbit":
-                raise ConfigError(
-                    "[invariant] needs a window or period for the ode route")
-            object.__setattr__(self, "grid", TauGrid(
-                n=self.grid, period=self.table.period * math.sqrt(b0)))
+    grid: TauGrid
+    table: OrbitTable | None
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings.  Each default a config file or flag may leave
+    out is written here and nowhere else."""
+
+    # a generated grid's sample count when no setting or signal gives one
+    FALLBACK_GRID_N: ClassVar[int] = 256
+
     params: PhysParams
-    profile: Profile
-    ic: InitialCondition
-    stations: tuple
-    outputs: tuple
-    grid_n: int = 256
+    profile: Profile = ConstantProfile()
+    ic: InitialCondition = InitialCondition.harmonic()
+    stations: tuple = (1.0,)
+    outputs: tuple = ("q1", "qnum")
+    grid_n: int | None = None    # None: a tabulated signal's own count
     tol: float = 1e-8
     quad_rtol: float = 1e-6
     out: Path = Path("hornwave_out")
@@ -203,6 +188,10 @@ class RunConfig:
             raise ConfigError("jobs must be >= 1")
         if not (0.0 < self.tol < math.inf and 0.0 < self.quad_rtol < math.inf):
             raise ConfigError("tolerances must be positive and finite")
+        if self.grid_n is None:
+            object.__setattr__(self, "grid_n", self.ic.grid.n
+                               if self.ic.kind == "tabulated"
+                               else self.FALLBACK_GRID_N)
         object.__setattr__(self, "stations", st)
         object.__setattr__(self, "outputs", outs)
         object.__setattr__(self, "out", Path(self.out))
@@ -295,8 +284,6 @@ def _build_profile(cp) -> Profile:
 
 
 def _build_initial(cp) -> InitialCondition:
-    if not cp.has_section("initial"):
-        return InitialCondition.harmonic()
     kind = _opt(cp, "initial", "kind", "harmonic", str).strip().lower()
     if kind == "harmonic":
         return InitialCondition.harmonic(
@@ -340,16 +327,44 @@ def _build_invariant(cp, params) -> InvariantSpec | None:
         _in_domain(f"[invariant] {key}", d_of_zeta, betas, value)
     zeta = tuple(np.linspace(start, stop, count))
 
-    n = _opt(cp, "invariant", "grid_n", 256, int)
-    period = _opt(cp, "invariant", "period", None)
+    b0, b1, b2, m = betas
+    if route == "ode":
+        table = None
+    elif b2 != 0.0 or b1 != -m:
+        raise ConfigError("the orbit route needs the constant-flare branch "
+                          "(beta2 = 0, beta1 = -M)")
+    else:
+        table = first_integral_solution(m, params.a, config.c0,
+                                        c1=config.c1, nu=params.nu)
+
+    n = _opt(cp, "invariant", "grid_n", RunConfig.FALLBACK_GRID_N, int)
     if cp.has_option("invariant", "window_lo") or cp.has_option("invariant", "window_hi"):
         grid = TauGrid.windowed(_need(cp, "invariant", "window_lo"),
                                 _need(cp, "invariant", "window_hi"), n)
-    elif period is not None:
-        grid = TauGrid(n=n, period=period)
+    elif table is None:
+        raise ConfigError("[invariant] the ode route needs window_lo and window_hi")
     else:
-        grid = n
-    return InvariantSpec(config=config, route=route, zeta=zeta, grid=grid)
+        # one orbit period, stretched to tau at zeta = 0
+        grid = TauGrid(n=n, period=table.period * math.sqrt(b0))
+    return InvariantSpec(config=config, zeta=zeta, grid=grid, table=table)
+
+
+# (section, key, RunConfig field, cast): the settings a file may leave out
+_RUN_SETTINGS = (
+    ("run", "stations", "stations", _float_list),
+    ("run", "outputs", "outputs", _name_list),
+    ("run", "grid_n", "grid_n", int),
+    ("run", "tol", "tol", float),
+    ("run", "quad_rtol", "quad_rtol", float),
+    ("run", "out", "out", str),
+    ("profile", "x_stop", "profile_x_stop", float),
+    ("profile", "x_count", "profile_x_count", int),
+)
+
+
+def _given(**flags):
+    """The command-line overrides that were passed (not None)."""
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
@@ -364,44 +379,24 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
         raise ConfigError(f"{path}: {err}") from err
 
     a, nu = _need(cp, "params", "a"), _opt(cp, "params", "nu", 1.0)
-    if not nu > 0.0:
-        raise ConfigError(f"[params] nu = {nu:g} must be positive")
-    if not a >= 0.0:
-        raise ConfigError(f"[params] a = {a:g} must be >= 0")
+    if not 0.0 < nu < math.inf:
+        raise ConfigError(f"[params] nu = {nu:g} must be positive and finite")
+    if not 0.0 <= a < math.inf:
+        raise ConfigError(f"[params] a = {a:g} must be >= 0 and finite")
     params = PhysParams(a, nu)
-    profile = _build_profile(cp) if cp.has_section("profile") else ConstantProfile()
-    ic = _build_initial(cp)
-
-    stations = (1.0,)
-    outputs = ("q1", "qnum")
-    # a tabulated signal brings its own grid; a generated one gets 256 points
-    grid_n = ic.grid.n if ic.kind == "tabulated" else 256
-    file_tol, quad_rtol = 1e-8, 1e-6
-    out_dir = Path("hornwave_out")
-    if cp.has_section("run"):
-        if cp.has_option("run", "stations"):
-            stations = _need(cp, "run", "stations", _float_list)
-        if cp.has_option("run", "outputs"):
-            outputs = _need(cp, "run", "outputs", _name_list)
-        grid_n = _opt(cp, "run", "grid_n", grid_n, int)
-        file_tol = _opt(cp, "run", "tol", 1e-8)
-        quad_rtol = _opt(cp, "run", "quad_rtol", 1e-6)
-        out_dir = Path(_opt(cp, "run", "out", "hornwave_out", str).strip())
-
-    x_stop = _opt(cp, "profile", "x_stop", None)
-    if x_stop is not None:
-        _in_domain("[profile] x_stop", profile.zeta_of_x, x_stop)
-
-    config = RunConfig(
-        params=params, profile=profile, ic=ic, stations=stations,
-        outputs=outputs, grid_n=grid_n,
-        tol=tol if tol is not None else file_tol,
-        quad_rtol=quad_rtol,
-        out=Path(out) if out is not None else out_dir,
-        jobs=jobs if jobs is not None else 1,
-        invariant=_build_invariant(cp, params),
-        profile_x_stop=x_stop,
-        profile_x_count=_opt(cp, "profile", "x_count", 129, int))
+    settings = {name: _need(cp, section, key, cast)
+                for section, key, name, cast in _RUN_SETTINGS
+                if cp.has_option(section, key)}
+    if cp.has_section("profile"):
+        settings["profile"] = _build_profile(cp)
+    if cp.has_section("initial"):
+        settings["ic"] = _build_initial(cp)
+    settings.update(_given(jobs=jobs, out=out, tol=tol))
+    config = RunConfig(params=params, invariant=_build_invariant(cp, params),
+                       **settings)
+    if config.profile_x_stop is not None:
+        _in_domain("[profile] x_stop", config.profile.zeta_of_x,
+                   config.profile_x_stop)
     cp.reject_unread(path)
     return config
 
@@ -531,7 +526,7 @@ def run_invariant(config: RunConfig):
     if spec is None:
         raise ConfigError("config has no [invariant] section")
     table = spec.table
-    if spec.route == "ode":
+    if table is None:
         def table(lam):
             # the factor ODE covers the lam span of every station, padded
             ode = integrate_factor_ode(
@@ -590,18 +585,15 @@ _FIG_PRESETS = {
 }
 
 
-def fig_config(name, *, out=None, jobs=1, tol=None) -> RunConfig:
+def fig_config(name, *, out=None, jobs=None, tol=None) -> RunConfig:
     preset = _FIG_PRESETS[name]
     return RunConfig(
         params=PhysParams(preset["a"], 1.0),
         profile=ExponentialProfile(-0.1),
-        ic=InitialCondition.harmonic(),
         stations=preset["stations"],
         outputs=preset["outputs"],
-        grid_n=256,
-        tol=tol if tol is not None else 1e-8,
-        out=Path(out) if out is not None else Path(f"{name}_data"),
-        jobs=jobs)
+        out=out if out is not None else f"{name}_data",
+        **_given(jobs=jobs, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +610,12 @@ def _build_parser():
     def add(name, help_text, *, config=True, jobs=None, tol=False):
         # only the flags the subcommand acts on; jobs is --jobs's help text
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(jobs=1, tol=None)
+        cmd.set_defaults(jobs=None, tol=None)
         if config:
             cmd.add_argument("--config", type=Path, required=True,
                              help="INI-style run description")
         if jobs:
-            cmd.add_argument("--jobs", type=int, default=1, help=jobs)
+            cmd.add_argument("--jobs", type=int, default=None, help=jobs)
         cmd.add_argument("--out", type=Path, default=None,
                          help="output directory override")
         if tol:
@@ -631,7 +623,7 @@ def _build_parser():
                              help="marching tolerance override")
         return cmd
 
-    workers = "parallel station workers (default 1)"
+    workers = f"parallel station workers (default {RunConfig.jobs})"
     add("profile", "tabulate S, zeta, mu, and the log-gain")
     add("run", "all configured outputs in one pass", jobs=workers, tol=True)
     add("analytic", "closed-form fields at the configured stations",

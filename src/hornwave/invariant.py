@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from ._quadrature import adaptive_quad
 from .errors import (BlowUpError, ConfigError, CoverageError, DomainError,
-                     HornWaveError, SingularProfileError)
+                     HornWaveError, RangeOverflowError, SingularProfileError)
 from .grid import TauGrid
 from .profiles import classifying_b, d_of_zeta
 from .rg import PhysParams
@@ -245,7 +245,13 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
             f"M = {m:g}, c0 = {c0:g}")
     # R'' < 0 everywhere, so R > 0 on a single interval when the peak is
     # positive; the peak is where the two slope terms balance.
-    w_star = -(nu / (2.0 * a)) * math.log(m * nu / (2.0 * a * a * c0))
+    denominator = 2.0 * a * a * c0
+    balance = m * nu / denominator if denominator else math.inf
+    if not 0.0 < balance < math.inf:
+        raise RangeOverflowError(
+            f"the orbit's turning points leave the double range at "
+            f"a = {a:g}, nu = {nu:g}, M = {m:g}, c0 = {c0:g}")
+    w_star = -(nu / (2.0 * a)) * math.log(balance)
     if radicand(w_star) <= 0.0:
         raise ConfigError("radicand never positive: no orbit for this c0")
 

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` replaces functions under the names it looks them
 up by (``hornwave.kernel.adaptive_quad``, ``hornwave.cli.ThreadPoolExecutor``
 and others); a renamed or deleted hook makes it raise ``KeyError`` on
-entry.  ``perfbench/workloads.py`` passes command lines the CLI must still
-parse, and ``perfbench/checks.py`` calls the kernel routes by name.
+entry.  ``perfbench/workloads.py`` passes command lines and config files
+the CLI must still parse, and ``perfbench/checks.py`` calls the kernel
+routes by name.
 """
 
 import importlib.util
@@ -68,6 +69,13 @@ def test_every_workload_command_line_parses(monkeypatch, tmp_path):
         for job in built.jobs:
             args = parser.parse_args(job.argv())   # exits 2 on a stale flag
             assert args.command == job.command
+            # a setting the loader stopped reading raises ConfigError
+            if job.config is None:
+                hornwave.cli.fig_config(job.command, out=job.out,
+                                        jobs=job.jobs)
+            else:
+                hornwave.cli.load_config(job.config, out=job.out,
+                                         jobs=job.jobs)
 
 
 def test_series_gap_check_runs(monkeypatch):

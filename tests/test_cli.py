@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from hornwave import cli, profiles
-from hornwave.cli import (ComparisonReport, InvariantSpec, RunConfig, compare,
-                          fig_config, load_config, main, read_field_table,
+from hornwave.cli import (ComparisonReport, RunConfig, compare, fig_config,
+                          load_config, main, read_field_table,
                           read_initial_table, read_profile_file, run,
                           station_filename)
 from hornwave.errors import ConfigError
 from hornwave.grid import TauGrid
-from hornwave.invariant import InvariantConfig, first_integral_solution
+from hornwave.invariant import first_integral_solution
 from hornwave.kernel import InitialCondition
 from hornwave.profiles import ExponentialProfile
 from hornwave.rg import PhysParams
@@ -561,6 +561,11 @@ out = {tmp_path / 'data'}
         ("run", "[params]\na = 1\nnu = 0\n[run]\n", "[params] nu"),
         ("run", "[params]\na = 1\nnu = -1\n[run]\n", "[params] nu"),
         ("run", "[params]\na = -1\n[run]\n", "[params] a"),
+        ("run", "[params]\na = 1\nnu = inf\n[run]\nstations = 0.5\n"
+         "outputs = q0, q1, qpt, qnum\ngrid_n = 64\n", "[params] nu"),
+        ("invariant", "[params]\na = inf\n[invariant]\nbeta0 = 1\n"
+         "beta1 = 1\nm = -1\nc0 = -0.1\nzeta_start = 0\nzeta_stop = 0.4\n"
+         "zeta_count = 8\ngrid_n = 64\n[run]\n", "[params] a"),
         ("run", "[params]\na = 1\n[profile]\nkind = spherical\n"
          "radius = -1\n[run]\nstations = 0.5, 1.5\n", "[run] stations"),
         ("run", "[params]\na = 1\n[profile]\nkind = powerlaw\nbeta0 = 1\n"
@@ -581,7 +586,8 @@ out = {tmp_path / 'data'}
          "window_lo = -1\nwindow_hi = 1\nzeta_start = 0.1\n"
          "zeta_stop = 0.7\nzeta_count = 8\ngrid_n = 64\n[run]\n",
          "[invariant] zeta_stop"),
-    ], ids=["nu-zero", "nu-negative", "a-negative", "station-past-cone",
+    ], ids=["nu-zero", "nu-negative", "a-negative", "nu-inf", "a-inf",
+            "station-past-cone",
             "station-past-power-law", "station-nan", "tol-nan",
             "quad-rtol-inf", "x-stop-past-cone", "zeta-negative",
             "zeta-past-root"])
@@ -718,14 +724,49 @@ out = {tmp_path / 'inv'}
         assert "constant-flare" in capsys.readouterr().err
 
     @pytest.mark.parametrize("betas", [(1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 1.0)])
-    def test_orbit_spec_off_the_flare_branch_rejected(self, betas):
-        # built in code, not parsed: the spec itself checks its branch
-        config = InvariantConfig(betas=betas, params=PhysParams(1.0, 1.0), c0=-0.1)
+    def test_orbit_spec_off_the_flare_branch_rejected(self, tmp_path, betas):
+        # the parser checks the branch: the orbit route is refused off the
+        # constant-flare branch, the ode route takes the same duct
+        b0, b1, b2, m = betas
+        duct = (f"[params]\na = 1.0\n[invariant]\nbeta0 = {b0}\n"
+                f"beta1 = {b1}\nbeta2 = {b2}\nm = {m}\nzeta_start = 0.0\n"
+                f"zeta_stop = 0.1\nzeta_count = 2\ngrid_n = 64\n")
+        orbit = write_config(tmp_path, duct + "route = orbit\nc0 = -0.1\n",
+                             name="orbit.ini")
         with pytest.raises(ConfigError, match="constant-flare"):
-            InvariantSpec(config=config, route="orbit", zeta=(0.0, 0.1),
-                          grid=TauGrid(n=64))
-        InvariantSpec(config=config, route="ode", zeta=(0.0, 0.1),
-                      grid=TauGrid(n=64))
+            load_config(orbit)
+        ode = write_config(tmp_path, duct + "route = ode\nw0 = 0.3\n"
+                           "window_lo = -1.0\nwindow_hi = 1.0\n", name="ode.ini")
+        assert load_config(ode).invariant.table is None
+
+    @pytest.mark.parametrize("route, section, key", [
+        ("orbit", "beta1 = 1.0\nm = -1.0\nc0 = -0.1\nperiod = 7.0\n",
+         "[invariant] period"),
+        ("ode", "beta2 = 1.0\nm = 1.0\nw0 = 0.3\nwindow_lo = -1.0\n"
+         "window_hi = 1.0\nperiod = 2.0\n", "[invariant] period"),
+        ("ode", "beta2 = 1.0\nm = 1.0\nw0 = 0.3\n", "window_lo"),
+    ], ids=["orbit-period", "ode-period", "ode-without-window"])
+    def test_invariant_route_sets_its_own_grid(self, tmp_path, capsys,
+                                               route, section, key):
+        # the orbit grid spans one orbit period and the ode grid is the
+        # window: a period of the user's would give a field that is not a
+        # solution, so it is refused
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[invariant]
+beta0 = 1.0
+route = {route}
+{section}zeta_start = 0.3
+zeta_stop = 0.8
+zeta_count = 8
+grid_n = 64
+[run]
+out = {tmp_path / 'inv'}
+""")
+        assert main(["invariant", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "inv").exists()
 
     def test_invariant_zero_width_zeta_range(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""

@@ -9,7 +9,8 @@ from scipy import integrate
 
 from hornwave._quadrature import adaptive_quad
 from hornwave.errors import (BlowUpError, ConfigError, CoverageError,
-                             DomainError, HornWaveError, SingularProfileError)
+                             DomainError, HornWaveError, RangeOverflowError,
+                             SingularProfileError)
 from hornwave.grid import TauGrid
 from hornwave.invariant import (InvariantConfig, OrbitTable,
                                 ShapeTable, assemble_invariant_q,
@@ -249,6 +250,12 @@ class TestFirstIntegral:
         # c0 so negative that the radicand peak never rises above zero
         with pytest.raises(ConfigError):
             first_integral_solution(-1.0, 1.0, -2.0)
+
+    @pytest.mark.parametrize("a", [1e200, 1e-200])
+    def test_turning_points_past_the_double_range(self, a):
+        # a^2 leaves the double range, so the radicand peak cannot be placed
+        with pytest.raises(RangeOverflowError, match="double range"):
+            first_integral_solution(-1.0, a, -0.1)
 
     def test_viscous_scaling_of_the_radicand(self):
         m, a, c0, nu = -1.0, 1.0, -0.05, 0.5
