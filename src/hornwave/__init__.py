@@ -8,8 +8,7 @@ the family of duct profiles that admits them.
 from .errors import (BlowUpError, BreakdownError, ConfigError, CoverageError,
                      DomainError, HornWaveError, QuadratureError,
                      RangeOverflowError, ResolutionError, SeriesTailError,
-                     SingularProfileError, SpacingError,
-                     WindowTruncationError)
+                     SingularProfileError, SpacingError)
 from .grid import TauGrid
 from .invariant import (InvariantConfig, OrbitTable, ShapeTable,
                         assemble_invariant_q, first_integral_solution,
@@ -34,7 +33,7 @@ __all__ = [
     "QuadratureError", "RGSolution", "RangeOverflowError", "ResolutionError",
     "SeriesTailError", "ShapeTable", "SingularProfileError", "SolverConfig",
     "SolverResult", "SpacingError", "SphericalProfile", "TabulatedProfile",
-    "TauGrid", "WindowTruncationError", "assemble_invariant_q",
+    "TauGrid", "assemble_invariant_q",
     "evaluate_station", "first_integral_solution", "first_order",
     "integrate_factor_ode", "kernel_quadrature", "kernel_series",
     "nested_area_integral", "perturbative", "residual",

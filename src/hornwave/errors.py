@@ -44,14 +44,6 @@ class SeriesTailError(HornWaveError):
         self.suggested_kmax = suggested_kmax
 
 
-class WindowTruncationError(HornWaveError):
-    """A declared finite window loses more kernel mass than allowed."""
-
-    def __init__(self, message: str, outside_mass: float | None = None):
-        super().__init__(message)
-        self.outside_mass = outside_mass
-
-
 class RangeOverflowError(HornWaveError, OverflowError):
     """Argument so large that a double-precision evaluation would overflow."""
 

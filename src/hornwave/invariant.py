@@ -233,11 +233,18 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
         raise ConfigError("nu must be positive")
 
     def radicand(w):
-        return c0 * np.exp((-2.0 * a / nu) * w) \
-            + (m / (2.0 * a * a)) * (2.0 * a * w - nu)
+        # exp overflows only where R is -inf, far below the lower turning point
+        with np.errstate(over="ignore"):
+            return c0 * np.exp((-2.0 * a / nu) * w) \
+                + (m / (2.0 * a * a)) * (2.0 * a * w - nu)
 
     def radicand_slope(w):
         return (-2.0 * a / nu) * c0 * np.exp((-2.0 * a / nu) * w) + m / a
+
+    def out_of_range(what):
+        return RangeOverflowError(
+            f"the orbit's {what} the double range at "
+            f"a = {a:g}, nu = {nu:g}, M = {m:g}, c0 = {c0:g}")
 
     if m >= 0 or c0 >= 0:
         raise ConfigError(
@@ -247,10 +254,8 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
     # positive; the peak is where the two slope terms balance.
     denominator = 2.0 * a * a * c0
     balance = m * nu / denominator if denominator else math.inf
-    if not 0.0 < balance < math.inf:
-        raise RangeOverflowError(
-            f"the orbit's turning points leave the double range at "
-            f"a = {a:g}, nu = {nu:g}, M = {m:g}, c0 = {c0:g}")
+    if not (0.0 < balance < math.inf and math.isfinite(m / (2.0 * a * a))):
+        raise out_of_range("turning points leave")
     w_star = -(nu / (2.0 * a)) * math.log(balance)
     if radicand(w_star) <= 0.0:
         raise ConfigError("radicand never positive: no orbit for this c0")
@@ -275,15 +280,22 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
     # (W - w_bot)(w_top - W) = half^2 sin^2/theta under the substitution,
     # so dW / sqrt(R) = dtheta / sqrt(h).
     h = np.empty_like(w)
-    h[1:-1] = radicand(w[1:-1]) / ((w[1:-1] - w_bot) * (w_top - w[1:-1]))
-    h[0] = radicand_slope(w_bot) / (2.0 * half)
-    h[-1] = -radicand_slope(w_top) / (2.0 * half)
+    with np.errstate(all="ignore"):
+        span = (w[1:-1] - w_bot) * (w_top - w[1:-1])
+        h[1:-1] = radicand(w[1:-1]) / span
+        h[0] = radicand_slope(w_bot) / (2.0 * half)
+        h[-1] = -radicand_slope(w_top) / (2.0 * half)
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(span))):
+        raise out_of_range("crossing-time integrand leaves")
     if np.any(h <= 0.0):
         raise ConfigError("turning points are not simple; orbit degenerates")
     lam = cumulative_simpson(1.0 / np.sqrt(h), x=theta, initial=0.0)
     period = 2.0 * float(lam[-1])
     # clamped ends: W'(lam) vanishes exactly at the turning points
-    spline = CubicSpline(lam, w, bc_type=((1, 0.0), (1, 0.0)))
+    with np.errstate(all="ignore"):
+        spline = CubicSpline(lam, w, bc_type=((1, 0.0), (1, 0.0)))
+    if not np.all(np.isfinite(spline.c)):
+        raise out_of_range("spline table leaves")
     return OrbitTable(float(w_bot), float(w_top), period, float(c1), spline)
 
 

@@ -9,11 +9,11 @@ where G is the heat kernel with diffusivity nu and W is the signal shape
 at the throat.  Two independent evaluation routes are kept deliberately
 separate: a quadrature route valid for any signal, and a modified Bessel
 series valid for a pure harmonic.  Tests compare them against each other;
-production code may use either.
+production code may use either.  Both need a periodic grid.
 
-On a periodic grid the quadrature route has one path, kernel_k.  It builds
-e = exp(a W / nu) once on a working grid that resolves it, then smooths it
-with heat_smoother in one of two ways, chosen from e alone.  When
+The quadrature route has one path, kernel_k.  It builds e = exp(a W / nu)
+once on a working grid that resolves it, then smooths it with
+heat_smoother in one of two ways, chosen from e alone.  When
 e.max() / e.min() is at most _FFT_RANGE_LIMIT, it multiplies the spectrum
 by exp(-nu k^2 x).  Above that, it sums e against the periodized Gaussian
 itself.  Those weights are exact to rounding, so K keeps a few eps of its
@@ -30,19 +30,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
-from ._quadrature import adaptive_quad
+# imported only for perfbench's tracer, which patches the name here;
+# nothing in this module calls it
+from ._quadrature import adaptive_quad  # noqa: F401
 from .errors import (
     ConfigError,
     DomainError,
     RangeOverflowError,
     ResolutionError,
     SeriesTailError,
-    WindowTruncationError,
 )
 from .grid import TauGrid
 
@@ -52,7 +52,6 @@ _RESCALE_THRESHOLD = 1e250
 _SERIES_TAIL_RTOL = 1e-14
 _SPECTRUM_TAIL_RTOL = 1e-12
 _MAX_REFINEMENTS = 8
-_WINDOW_MASS_LIMIT = 1e-10
 _NEGLIGIBLE_EXPONENT = 41.5   # exp(-41.5) ~ 1e-18: a factor below rounding
 # Largest e.max() / e.min() the spectral smoothing takes.  Its error is a few
 # eps max(e) at every point, so relative to the smallest K it grows with the
@@ -187,8 +186,8 @@ def bessel_i_sequence(count, z):
 class InitialCondition:
     """Signal shape W(tau) imposed at the throat (x = 0).
 
-    Three flavors: a pure harmonic (enables the Bessel-series kernel),
-    tabulated samples on a periodic grid, or an arbitrary callable.
+    Two flavors: a pure harmonic (enables the Bessel-series kernel) or
+    tabulated samples on a periodic grid.
     """
 
     kind: str
@@ -196,8 +195,6 @@ class InitialCondition:
     phase: float = 0.0
     values: Optional[np.ndarray] = None
     grid: Optional[TauGrid] = None
-    func: Optional[Callable] = None
-    window: Optional[Tuple[float, float]] = None
 
     @classmethod
     def harmonic(cls, amplitude=1.0, phase=0.0):
@@ -216,43 +213,23 @@ class InitialCondition:
             raise ConfigError("signal table contains non-finite entries")
         return cls(kind="tabulated", values=values, grid=grid)
 
-    @classmethod
-    def from_callable(cls, func, window=None):
-        return cls(kind="callable", func=func,
-                   window=None if window is None else (float(window[0]), float(window[1])))
-
     @property
     def is_harmonic(self):
         return self.kind == "harmonic"
 
-    def __call__(self, tau):
-        """Pointwise evaluation of a harmonic or callable signal; a
-        tabulated one is read on grids only, through sample."""
-        if self.kind == "tabulated":
-            raise ConfigError("a tabulated signal has no pointwise values; "
-                              "use sample on a refinement of its grid")
-        tau = np.asarray(tau, dtype=float)
-        if self.kind == "harmonic":
-            out = self.amplitude * np.cos(tau - self.phase)
-        else:
-            out = np.asarray(self.func(tau), dtype=float)
-            if out.shape != tau.shape:
-                out = np.broadcast_to(out, tau.shape).astype(float)
-        return float(out) if out.ndim == 0 else out
-
     def sample(self, grid: TauGrid):
         """Samples of W on a grid; tabulated signals allow spectral refinement."""
-        if self.kind == "tabulated":
-            src = self.grid
-            if grid == src:
-                return self.values.copy()
-            if (not grid.periodic or grid.period != src.period
-                    or grid.start != src.start or grid.n % src.n != 0):
-                raise ConfigError(
-                    "tabulated signal can only be resampled onto a refinement "
-                    "of its own grid")
-            return _resample_periodic(self.values, grid.n)
-        return self(grid.tau)
+        if self.is_harmonic:
+            return self.amplitude * np.cos(grid.tau - self.phase)
+        src = self.grid
+        if grid == src:
+            return self.values.copy()
+        if (not grid.periodic or grid.period != src.period
+                or grid.start != src.start or grid.n % src.n != 0):
+            raise ConfigError(
+                "tabulated signal can only be resampled onto a refinement "
+                "of its own grid")
+        return _resample_periodic(self.values, grid.n)
 
 
 def _resample_periodic(values, n_new):
@@ -284,34 +261,33 @@ class KernelField:
     k_aa: Optional[np.ndarray] = None
 
 
-def _check_params(a, nu, x):
+def _check_medium(a, nu):
     if nu <= 0.0:
         raise DomainError(f"diffusivity must be positive, got {nu:g}")
     if a < 0.0:
         raise DomainError(f"nonlinearity parameter must be >= 0, got {a:g}")
+
+
+def _check_station(x):
     if x < 0.0:
         raise DomainError(f"station must be >= 0, got {x:g}")
 
 
 def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
-    """Kernel field at station x: K, plus dK/da at a = 0.
+    """Kernel field at station x on a periodic grid: K, plus dK/da at a = 0.
 
-    On a periodic grid K is the kernel_k evaluator's value at x, so the
-    working grid and the smoothing route are decided there alone.  At
-    a = 0, K is 1 and dK/da is the heat smoothing of W/nu on the caller's
-    grid; at a > 0 the derivatives are left to kernel_series.  Windowed
-    grids fall back to adaptive quadrature and require the Gaussian mass
-    outside the window to be negligible.
+    At a > 0, K is the kernel_k evaluator's value at x, so the working grid
+    and the smoothing route are decided there alone, and the derivatives
+    are left to kernel_series.  At a = 0, K is 1 and dK/da is the heat
+    smoothing of W/nu on the caller's grid.
     """
-    _check_params(a, nu, x)
-    if not grid.periodic:
-        return _kernel_windowed(ic, a, nu, x, grid)
-    if a == 0.0:
-        wn = ic.sample(grid) / nu
-        k, k_a = np.ones(grid.n), heat_smoother(wn, grid, nu, True)(x)
-    else:
-        k, k_a = kernel_k(ic, a, nu, grid)(x), None
-    return KernelField(k=k, k_a=k_a)
+    if a != 0.0:
+        return KernelField(k=kernel_k(ic, a, nu, grid)(x))
+    _check_medium(a, nu)
+    _check_station(x)
+    wn = ic.sample(grid) / nu
+    return KernelField(k=np.ones(grid.n),
+                       k_a=heat_smoother(wn, grid, nu, True)(x))
 
 
 def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
@@ -322,7 +298,7 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     range limit each costs one direct sum, on a finer working grid where
     the smoothing weights at x need one.
     """
-    _check_params(a, nu, 0.0)
+    _check_medium(a, nu)
     if not grid.periodic:
         raise ConfigError("the K evaluator needs a periodic grid")
     fine, e = _signal_exponential(ic, a, nu, grid)
@@ -330,7 +306,7 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     smooth = heat_smoother(e, fine, nu, spectral)
 
     def k_at(x):
-        _check_params(a, nu, x)
+        _check_station(x)
         need = _weight_points(grid, nu, x)
         if spectral or need <= fine.n:
             return smooth(x)[::fine.n // grid.n]
@@ -427,37 +403,6 @@ def _circular_convolve(values, weights):
     return np.convolve(np.tile(values, 2)[1:], weights, "valid")
 
 
-def _kernel_windowed(ic, a, nu, x, grid):
-    """K by adaptive quadrature on a windowed grid, plus dK/da at a = 0."""
-    lo, hi = ic.window if ic.window is not None else (None, None)
-    if lo is None:
-        raise ConfigError("windowed kernel evaluation needs a signal window")
-
-    def weight(w):     # the one function of W smoothed; K is 1 at a = 0
-        return w / nu if a == 0.0 else np.expm1((a / nu) * w)
-
-    if x == 0.0:
-        smoothed = weight(ic(grid.tau))
-    else:
-        sigma = math.sqrt(4.0 * nu * x)
-        tail = 0.5 * (erfc((hi - grid.tau) / sigma)
-                      + erfc((grid.tau - lo) / sigma))
-        worst = float(np.max(tail))
-        if worst > _WINDOW_MASS_LIMIT:
-            raise WindowTruncationError(
-                f"Gaussian mass {worst:.3e} outside the signal window "
-                f"[{lo:g}, {hi:g}]; widen the window or reduce x",
-                outside_mass=worst)
-        smoothed = np.array([adaptive_quad(
-            lambda xi: weight(ic(xi)) * heat_kernel(x, t - xi, nu),
-            lo, hi, rtol=1e-11) for t in grid.tau])
-    if a == 0.0:
-        k, k_a = np.ones(grid.n), smoothed
-    else:
-        k, k_a = 1.0 + smoothed, None
-    return KernelField(k=k, k_a=k_a)
-
-
 def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):
     """Kernel field for a harmonic signal via the modified Bessel expansion.
 
@@ -465,7 +410,8 @@ def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):
     with z = a * amplitude / nu; diffusion multiplies harmonic k by
     exp(-nu k^2 x).  Derivatives in a use the I_k recurrences.
     """
-    _check_params(a, nu, x)
+    _check_medium(a, nu)
+    _check_station(x)
     if not ic.is_harmonic:
         raise ConfigError("series kernel requires a harmonic signal")
     if not grid.periodic or abs(grid.period - 2.0 * math.pi) > 1e-12:

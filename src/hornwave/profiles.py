@@ -8,9 +8,9 @@ Conventions used throughout the package:
 
 A duct family is *classified* by a quadratic ``b(zeta) = beta0 + beta1*zeta
 + beta2*zeta**2`` and a constant ``M`` through ``ln(mu/nu) = d(zeta)`` with
-``d = M * integral_0^zeta dy / b(y)``.  :func:`d_of_zeta` evaluates the three
-closed forms of that integral (by the sign of the discriminant of ``b``) and
-falls back to direct quadrature near the case boundary.
+``d = M * integral_0^zeta dy / b(y)``.  :func:`d_of_zeta` evaluates that
+integral in closed form, one formula for each sign of the discriminant of
+``b``.
 
 Profiles are frozen dataclasses; any internal tables are built eagerly at
 construction so instances can be shared between threads read-only.
@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from ._quadrature import adaptive_quad
+# imported only for perfbench's tracer, which patches the name here;
+# nothing in this module calls it
+from ._quadrature import adaptive_quad  # noqa: F401
 from .errors import (ConfigError, DomainError, QuadratureError,
                      SingularProfileError)
 
 _ROUNDTRIP_TOL = 1e-10
 _MIDPOINT_TOL = 1e-13
-_CASE_BOUNDARY_TOL = 1e-12
 _BETA_PANELS = 32
 _MAX_SPLIT_ROUNDS = 60
 _MAX_PANELS = 1 << 16
@@ -450,9 +451,11 @@ def _check_no_root(betas, zmax):
 def d_of_zeta(betas, zeta):
     """Classified absorption exponent d(zeta) = M * integral_0^zeta dy/b(y).
 
-    Evaluates the closed form matching the discriminant of b; parameters
-    within ``_CASE_BOUNDARY_TOL`` (relative) of the degenerate case are
-    handed to direct quadrature instead of either closed form.
+    One closed form for each sign of the discriminant D = beta1^2 -
+    4 beta0 beta2 of b, with s = sqrt|D| and c = 2 beta0 + beta1 zeta:
+    a log1p for D > 0, an arctan2 for D < 0 and 2 zeta / c for D = 0.
+    None of them cancels as D tends to 0, and beta1 - s is formed without
+    cancelling for beta1 > 0.
 
     Raises :class:`SingularProfileError` if b vanishes inside [0, zeta].
     """
@@ -462,33 +465,16 @@ def d_of_zeta(betas, zeta):
     zmax = float(zarr.max()) if zarr.size else 0.0
     _check_no_root(betas, zmax)
     disc = b1 * b1 - 4.0 * b0 * b2
-    if m == 0.0:
-        out = np.zeros(zarr.shape)
-    elif b2 == 0.0 and b1 == 0.0:
-        out = m * zarr / b0
-    elif b2 == 0.0:
-        # log first: m/b1 alone can overflow for subnormal b1
-        out = m * (np.log1p(b1 * zarr / b0) / b1)
-    elif disc == 0.0:
-        out = 2.0 * m * zarr / (2.0 * b0 + b1 * zarr)
-    elif abs(disc) <= _CASE_BOUNDARY_TOL * max(1.0, b1 * b1, abs(4.0 * b0 * b2)):
-        # one quadrature per gap between the sorted points, then a running sum
-        zs, where = np.unique(zarr.ravel(), return_inverse=True)
-        edges = np.concatenate(([0.0], zs))
-        gaps = [adaptive_quad(lambda y: 1.0 / (b0 + y * (b1 + b2 * y)),
-                              lo, hi, rtol=1e-12)
-                for lo, hi in zip(edges[:-1], edges[1:])]
-        out = m * np.cumsum(gaps)[where].reshape(zarr.shape)
+    s = math.sqrt(abs(disc))
+    if disc > 0.0:
+        # 2 beta0 + (beta1 - s) zeta vanishes only at the root
+        # 2 beta0 / (s - beta1) of b, the first positive one if it is
+        # positive, so it stays positive on [0, zeta]; the log comes
+        # first, since m / s alone can overflow for subnormal s
+        lower = 4.0 * b0 * b2 / (b1 + s) if b1 > 0.0 else b1 - s
+        out = m * (np.log1p(2.0 * s * zarr / (2.0 * b0 + lower * zarr)) / s)
     elif disc < 0.0:
-        s = math.sqrt(-disc)
-        out = (2.0 * m / s) * (np.arctan((b1 + 2.0 * b2 * zarr) / s)
-                               - math.atan(b1 / s))
+        out = m * (2.0 * np.arctan2(s * zarr, 2.0 * b0 + b1 * zarr) / s)
     else:
-        # b = b0 (1 - y/r1)(1 - y/r2) with the roots r1 = q/b2, r2 = b0/q in
-        # the two-product form of _first_positive_root; one log1p per root
-        # keeps full precision when b2 is tiny or subnormal
-        s = math.sqrt(disc)
-        q = -0.5 * (b1 + math.copysign(s, b1))
-        out = (m * math.copysign(1.0, b1) / s) * (np.log1p(-zarr * (q / b0))
-                                                  - np.log1p(-zarr * (b2 / q)))
+        out = 2.0 * m * zarr / (2.0 * b0 + b1 * zarr)
     return out if zarr.ndim else float(out)

@@ -3,9 +3,11 @@
 ``perfbench/tracing.py`` replaces functions under the names it looks them
 up by (``hornwave.kernel.adaptive_quad``, ``hornwave.cli.ThreadPoolExecutor``
 and others); a renamed or deleted hook makes it raise ``KeyError`` on
-entry.  ``perfbench/workloads.py`` passes command lines and config files
-the CLI must still parse, and ``perfbench/checks.py`` calls the kernel
-routes by name.
+entry.  Two of those names, ``adaptive_quad`` in ``hornwave.kernel`` and
+``hornwave.profiles``, are imported only for the tracer.
+``perfbench/workloads.py`` passes command lines and config files the CLI
+must still parse, and ``perfbench/checks.py`` calls the kernel routes by
+name.
 """
 
 import importlib.util
@@ -58,6 +60,33 @@ def test_tracer_patches_every_public_profile_map(monkeypatch):
         patched = {attr for owner, attr, _ in tracer._patches
                    if owner is hornwave.Profile}
     assert patched == maps
+
+
+# Imported by these modules only so that the tracer finds the name it
+# patches; the program itself never calls them.  Once the benchmark stops
+# patching one, delete its import.
+TRACER_ONLY_NAMES = (("hornwave.kernel", hornwave.kernel),
+                     ("hornwave.profiles", hornwave.profiles))
+
+
+def test_names_kept_only_for_the_tracer(monkeypatch):
+    with _load_tracing(monkeypatch).Tracer(hornwave) as tracer:
+        patched = {(owner, attr) for owner, attr, _ in tracer._patches}
+    for name, module in TRACER_ONLY_NAMES:
+        assert (module, "adaptive_quad") in patched, (
+            f"the tracer no longer patches {name}.adaptive_quad; "
+            f"delete its import from {name}")
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a tracer-only name was called")
+
+    for _, module in TRACER_ONLY_NAMES:
+        monkeypatch.setattr(module, "adaptive_quad", no_call)
+    signal = hornwave.InitialCondition.harmonic()
+    grid = hornwave.TauGrid.periodic_default(64)
+    for a in (0.0, 2.0):
+        hornwave.kernel_quadrature(signal, a, 1.0, 0.5, grid)
+    hornwave.BetaFamilyProfile(1.0, 0.5, 0.25, 0.8)
 
 
 def test_every_workload_command_line_parses(monkeypatch, tmp_path):

@@ -251,11 +251,24 @@ class TestFirstIntegral:
         with pytest.raises(ConfigError):
             first_integral_solution(-1.0, 1.0, -2.0)
 
-    @pytest.mark.parametrize("a", [1e200, 1e-200])
-    def test_turning_points_past_the_double_range(self, a):
-        # a^2 leaves the double range, so the radicand peak cannot be placed
+    @pytest.mark.parametrize("m, a, c0, nu", [
+        pytest.param(-1.0, 1e200, -0.1, 1.0, id="1e+200"),
+        pytest.param(-1.0, 1e-200, -0.1, 1.0, id="1e-200"),
+        # the orbits exist (the radicand peak balance is 5e100, 5 and 5),
+        # but the crossing-time table leaves the double range
+        (-1.0, 1e100, -0.1, 1e300),
+        (-1.0, 1e-150, -0.1, 1e-300),
+        (-1e300, 1.0, -0.1, 1e-300),
+        # M / 2a^2 overflows, and with it the radicand
+        (-1e300, 1e-50, -0.1, 1e-100),
+        # the orbit's period is 7.5e-149, too short for its spline
+        (-1e300, 1.0, -0.1, 1.0),
+    ])
+    def test_turning_points_past_the_double_range(self, m, a, c0, nu):
+        # a^2 or the orbit's own scale leaves the double range: exit 3, and
+        # with no RuntimeWarning on the way (the suite makes warnings errors)
         with pytest.raises(RangeOverflowError, match="double range"):
-            first_integral_solution(-1.0, a, -0.1)
+            first_integral_solution(m, a, c0, nu=nu)
 
     def test_viscous_scaling_of_the_radicand(self):
         m, a, c0, nu = -1.0, 1.0, -0.05, 0.5

@@ -21,7 +21,6 @@ from hornwave.errors import (
     DomainError,
     RangeOverflowError,
     SeriesTailError,
-    WindowTruncationError,
 )
 from hornwave.grid import TauGrid
 from hornwave.kernel import (
@@ -369,33 +368,11 @@ class TestSmoothingRoutes:
             kernel_k(COS, 1.0, 1.0, TauGrid.windowed(-1.0, 1.0, 17))
 
 
-class TestWindowedKernel:
-    BUMP = staticmethod(lambda tau: np.exp(-8.0 * np.asarray(tau) ** 2))
-
-    def test_matches_periodic_embedding(self):
-        # compact bump on a wide window vs the same bump embedded in a long
-        # periodic box; interior values must agree
-        ic_win = InitialCondition.from_callable(self.BUMP, window=(-10.0, 10.0))
-        ic_per = InitialCondition.from_callable(self.BUMP)
-        eval_grid = TauGrid.windowed(-2.0, 2.0, 33)
-        box = TauGrid(n=4096, period=64.0, start=-32.0)
-        win = kernel_quadrature(ic_win, 1.0, 1.0, 0.5, eval_grid)
-        per = kernel_quadrature(ic_per, 1.0, 1.0, 0.5, box)
-        idx = 1920 + 8 * np.arange(33)      # box points coinciding with eval_grid
-        assert np.max(np.abs(win.k - per.k[idx])) <= 1e-9
-
-    def test_truncation_guard(self):
-        ic = InitialCondition.from_callable(self.BUMP, window=(-10.0, 10.0))
-        eval_grid = TauGrid.windowed(-2.0, 2.0, 9)
-        with pytest.raises(WindowTruncationError) as err:
-            kernel_quadrature(ic, 1.0, 1.0, 8.0, eval_grid)
-        assert err.value.outside_mass > 1e-10
-
-
 class TestInitialCondition:
     def test_harmonic_eval(self):
         ic = InitialCondition.harmonic(amplitude=2.0, phase=0.5)
-        assert ic(0.5) == pytest.approx(2.0, abs=1e-15)
+        w = ic.sample(TauGrid(n=16, start=0.5))     # tau = 0.5 + k pi / 8
+        assert w[[0, 4, 8]] == pytest.approx([2.0, 0.0, -2.0], abs=1e-15)
 
     def test_tabulated_resample_exact_for_band_limited(self):
         vals = np.cos(3 * GRID.tau) + 0.5 * np.sin(7 * GRID.tau)
@@ -410,11 +387,6 @@ class TestInitialCondition:
         fine = GRID.refined(2)
         expect = np.cos((GRID.n // 2) * fine.tau)
         assert np.max(np.abs(ic.sample(fine) - expect)) <= 1e-13
-
-    def test_pointwise_call_on_table_points_to_sample(self):
-        ic = InitialCondition.tabulated(np.cos(2 * GRID.tau), GRID)
-        with pytest.raises(ConfigError, match="sample"):
-            ic(0.37)
 
     def test_rejects_unrelated_grid(self):
         ic = InitialCondition.tabulated(np.cos(GRID.tau), GRID)

@@ -228,20 +228,15 @@ class TestTableMap:
         assert np.all(np.diff(zs) > 0)
 
     def test_band_duct_integrates_each_gap_once(self, monkeypatch):
-        evals = [0]
+        # d(zeta) is one closed form on both sides of the degenerate case:
+        # a duct next to it builds, and maps, with no quadrature at all
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature in the closed form of d(zeta)")
 
-        def counting(func, a, b, **kw):
-            def counted(y):
-                evals[0] += 1
-                return func(y)
-            return adaptive_quad(counted, a, b, **kw)
-
-        monkeypatch.setattr(P, "adaptive_quad", counting)
+        monkeypatch.setattr(P, "adaptive_quad", no_quadrature)
+        P.BetaFamilyProfile(*BAND)
         zs = np.linspace(0.0, 32.0, 401)
         d = P.d_of_zeta(BAND, zs)
-        # one 21-point Gauss-Kronrod pass per gap between sorted points;
-        # integrating each point from 0 takes over 100 evaluations a point
-        assert evals[0] <= 2 * 21 * zs.size
         for i in range(0, zs.size, 50):
             assert d[i] == pytest.approx(quad_d(BAND, zs[i]), rel=1e-10)
         prof = P.BetaFamilyProfile(*BAND, zeta_cap=0.5)
@@ -310,14 +305,26 @@ class TestDOfZeta:
         (1.0, -1.0, 2.0, 0.4),   # discriminant < 0, falling b1
         (3.0, 0.0, 0.0, 2.0),    # constant b
         (1.0, 1.5, 5e-324, 1.0), # subnormal beta2, discriminant > 0
+        BAND,                    # discriminant -4e-13
+        BAND[:2] + (0.5 * (1.0 - 1e-13),) + BAND[3:],   # discriminant +4e-13
     ])
     def test_closed_forms_against_quadrature(self, betas):
-        for z in [0.3, 0.8, 1.7]:
+        # none of these b has a positive root; 2 beta0 + beta1 zeta changes
+        # sign at zeta = 2 for (1, -1, 2, 0.4)
+        for z in [0.3, 0.8, 1.7, 3.0, 30.0]:
             assert P.d_of_zeta(betas, z) == pytest.approx(quad_d(betas, z), abs=1e-9)
+
+    @pytest.mark.parametrize("zeta", [0.5 * (1.0 - 1e-9), 0.49])
+    def test_next_to_a_root(self, zeta):
+        # b = (1 - 2 zeta)(1 - zeta/2) has the partial fractions
+        # (2/3)(2/(1 - 2y) - (1/2)/(1 - y/2)), integrated exactly below
+        m = 0.7
+        want = (2.0 * m / 3.0) * (math.log1p(-0.5 * zeta) - math.log1p(-2.0 * zeta))
+        assert P.d_of_zeta((1.0, -2.5, 1.0, m), zeta) == pytest.approx(want, rel=1e-13)
 
     def test_near_degenerate_falls_back_to_quadrature(self):
         b0, b1, m = 2.0, 2.0, 1.0
-        b2 = b1 * b1 / (4.0 * b0) * (1.0 + 1e-13)  # just inside the boundary band
+        b2 = b1 * b1 / (4.0 * b0) * (1.0 + 1e-13)  # discriminant -4e-13
         betas = (b0, b1, b2, m)
         assert P.d_of_zeta(betas, 1.2) == pytest.approx(quad_d(betas, 1.2), abs=1e-10)
 

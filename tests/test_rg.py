@@ -258,26 +258,24 @@ class TestSmallAmplitude:
 
     @pytest.mark.parametrize("a", [0.0, 0.5])
     def test_windowed_grid_fails_fast(self, monkeypatch, a):
-        # the path integral and heat propagation are spectral: a windowed
-        # grid is refused before any kernel work, by qpt at every a and by
-        # q1 at a > 0; at a = 0, q1 is heat decay and windowed kernels serve it
+        # the kernel, the path integral and heat propagation are spectral:
+        # every field refuses a windowed grid, and qpt at every a and q1 at
+        # a > 0 do so before any kernel work
+        grid = TauGrid.windowed(-2.0, 2.0, 17)
+        params = PhysParams(a, 1.0)
+        for field in ("q0", "q1", "qpt"):
+            with pytest.raises(ConfigError):
+                evaluate_station(params, FLARE, COS, 0.5, grid, fields=(field,))
+
         def no_kernel(*args, **kwargs):
             raise AssertionError("kernel work on a windowed grid")
 
         monkeypatch.setattr(rg, "kernel_quadrature", no_kernel)
-        monkeypatch.setattr(kernel_module, "adaptive_quad", no_kernel)
-        ic = InitialCondition.from_callable(np.cos, window=(-20.0, 20.0))
-        grid = TauGrid.windowed(-2.0, 2.0, 17)
+        monkeypatch.setattr(rg, "kernel_k", no_kernel)
         fields = {"qpt": perturbative, "q1": first_order}
         for name in ("qpt", "q1") if a > 0.0 else ("qpt",):
             with pytest.raises(ConfigError, match=f"{name} needs a periodic"):
-                fields[name](PhysParams(a, 1.0), FLARE, ic, 0.5, grid)
-        if a == 0.0:
-            monkeypatch.undo()
-            q1 = evaluate_station(PhysParams(a, 1.0), FLARE, ic, 0.5, grid,
-                                  fields=("q1",)).q1
-            heat = math.exp(-0.5) * np.cos(grid.tau)
-            assert np.max(np.abs(q1 - heat)) <= 1e-9
+                fields[name](params, FLARE, COS, 0.5, grid)
 
     def test_quadratic_agreement_with_first_order(self):
         # quick two-point version of the full scaling study
