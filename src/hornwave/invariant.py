@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from ._quadrature import adaptive_quad
 from .errors import (BlowUpError, ConfigError, CoverageError, DomainError,
@@ -185,7 +184,8 @@ class OrbitTable:
     """One periodic orbit of the conserved-energy quadrature.
 
     Callable for W(lam) anywhere (the orbit repeats), with the bottom
-    turning point sitting at lam = phase.
+    turning point sitting at lam = phase.  It holds the reduced half orbit
+    w(s), with W = w_scale * w and lam - phase = lam_scale * s.
     """
 
     w_bottom: float
@@ -193,23 +193,47 @@ class OrbitTable:
     period: float
     phase: float
     _spline: CubicSpline = field(repr=False)
+    _w_scale: float = field(repr=False)
+    _lam_scale: float = field(repr=False)
 
     def _fold(self, lam):
-        arr = np.asarray(lam, dtype=float) - self.phase
-        folded = np.mod(arr, self.period)
-        mirror = folded > 0.5 * self.period
-        folded = np.where(mirror, self.period - folded, folded)
-        return np.clip(folded, 0.0, 0.5 * self.period), mirror
+        half = self._spline.x[-1]
+        s = np.mod((np.asarray(lam, dtype=float) - self.phase)
+                   / self._lam_scale, 2.0 * half)
+        mirror = s > half
+        return np.clip(np.where(mirror, 2.0 * half - s, s), 0.0, half), mirror
 
     def __call__(self, lam):
-        folded, _ = self._fold(lam)
-        out = self._spline(folded)
+        s, _ = self._fold(lam)
+        out = self._w_scale * self._spline(s)
         return out if np.ndim(lam) else float(out)
 
     def slope(self, lam):
-        folded, mirror = self._fold(lam)
-        out = np.where(mirror, -1.0, 1.0) * self._spline(folded, 1)
+        s, mirror = self._fold(lam)
+        out = np.where(mirror, -1.0, 1.0) * self._spline(s, 1) \
+            * (self._w_scale / self._lam_scale)
         return out if np.ndim(lam) else float(out)
+
+
+def _turning_points(gamma):
+    """The reduced orbit's bottom and top, 1/2 + W_k(2 gamma/e)/2, k = -1, 0.
+
+    Real Lambert W on (-1/e, 0) (Corless et al., Adv. Comput. Math. 5, 1996)
+    from the series in p = -+sqrt(2(e z + 1)) = -+sqrt(4 gamma + 2) near the
+    branch point, else log(-z) - log(-log(-z)) and log1p(z), then four
+    Halley steps (three reach rounding from every start).
+    """
+    z = 2.0 * gamma / math.e
+    p = np.array([-1.0, 1.0]) * math.sqrt(4.0 * gamma + 2.0)
+    log_z = math.log(-z)
+    w = np.where(np.abs(p) < 1.0,
+                 -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0))),
+                 (log_z - math.log(-log_z), math.log1p(z)))
+    for _ in range(4):
+        ew = np.exp(w)
+        f = w * ew - z
+        w = w - f / (ew * (w + 1.0) - 0.5 * (w + 2.0) * f / (w + 1.0))
+    return (0.5 + 0.5 * w).tolist()
 
 
 def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
@@ -218,85 +242,58 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
     On the constant-flare branch (beta1 = -M, beta2 = 0) the ODE
     integrates once to (W')^2 = R(W) with
 
-        R(W) = c0 exp(-2 a W / nu) + (M / 2 a^2) (2 a W - nu),
+        R(W) = c0 exp(-2 a W / nu) + (M / 2 a^2) (2 a W - nu).
 
-    so lam(W) is the crossing-time integral of 1/sqrt(R).  R is strictly
-    concave, its two simple roots bound the periodic orbit, and the
-    angular substitution W = mid - half*cos(theta) turns both
-    inverse-square-root endpoints into a smooth integrand sampled densely
-    in theta.  Returns an :class:`OrbitTable` (period = twice the
-    half-orbit integral).
+    With W = (nu/a) w and lam - c1 = sqrt(nu/|M|) s this is
+    (dw/ds)^2 = r(w) = gamma exp(-2w) - w + 1/2, gamma = a^2 c0/(nu |M|):
+    every orbit is the gamma-orbit rescaled, and one exists exactly when
+    -1/2 < gamma < 0.  The angular substitution w = mid - half*cos(theta)
+    turns both inverse-square-root endpoints of s(w) into a smooth
+    integrand sampled densely in theta.
     """
-    if a <= 0:
-        raise ConfigError("a must be positive")
-    if nu <= 0:
-        raise ConfigError("nu must be positive")
-
-    def radicand(w):
-        # exp overflows only where R is -inf, far below the lower turning point
-        with np.errstate(over="ignore"):
-            return c0 * np.exp((-2.0 * a / nu) * w) \
-                + (m / (2.0 * a * a)) * (2.0 * a * w - nu)
-
-    def radicand_slope(w):
-        return (-2.0 * a / nu) * c0 * np.exp((-2.0 * a / nu) * w) + m / a
-
-    def out_of_range(what):
-        return RangeOverflowError(
-            f"the orbit's {what} the double range at "
-            f"a = {a:g}, nu = {nu:g}, M = {m:g}, c0 = {c0:g}")
-
+    if a <= 0 or nu <= 0:
+        raise ConfigError(f"a = {a:g} and nu = {nu:g} must be positive")
     if m >= 0 or c0 >= 0:
-        raise ConfigError(
-            "bounded orbits need M < 0 and c0 < 0; got "
-            f"M = {m:g}, c0 = {c0:g}")
-    # R'' < 0 everywhere, so R > 0 on a single interval when the peak is
-    # positive; the peak is where the two slope terms balance.
-    denominator = 2.0 * a * a * c0
-    balance = m * nu / denominator if denominator else math.inf
-    if not (0.0 < balance < math.inf and math.isfinite(m / (2.0 * a * a))):
-        raise out_of_range("turning points leave")
-    w_star = -(nu / (2.0 * a)) * math.log(balance)
-    if radicand(w_star) <= 0.0:
-        raise ConfigError("radicand never positive: no orbit for this c0")
+        raise ConfigError("bounded orbits need M < 0 and c0 < 0; got "
+                          f"M = {m:g}, c0 = {c0:g}")
 
-    def bracketed_root(direction):
-        step = 1.0
-        probe = w_star + direction * step
-        while radicand(probe) > 0.0:
-            step *= 2.0
-            probe = w_star + direction * step
-        lo, hi = sorted((w_star, probe))
-        return brentq(radicand, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    def in_range(what, value):
+        if not np.finfo(float).tiny <= abs(value) < math.inf:
+            raise RangeOverflowError(
+                f"the orbit's {what} = {value:g} leaves the double range at "
+                f"a = {a:g}, nu = {nu:g}, M = {m:g}, c0 = {c0:g}")
+        return value
 
-    w_bot = bracketed_root(-1.0)
-    w_top = bracketed_root(+1.0)
-
-    mid = 0.5 * (w_top + w_bot)
+    w_scale = in_range("height scale nu/a", nu / a)
+    # nu/|M| itself may leave the range where its root does not
+    lam_scale = in_range("time scale", math.sqrt(nu) / math.sqrt(-m))
+    slope_scale = in_range("slope scale", w_scale / lam_scale)
+    gamma = in_range("gamma = a^2 c0/(nu |M|)", c0 / slope_scale / slope_scale)
+    if gamma <= -0.5:
+        raise ConfigError(f"no orbit: gamma = a^2 c0/(nu |M|) = {gamma:g} "
+                          "must lie in (-1/2, 0)")
+    w_bot, w_top = _turning_points(gamma)
     half = 0.5 * (w_top - w_bot)
     theta = np.linspace(0.0, math.pi, _ORBIT_SAMPLES)
-    w = mid - half * np.cos(theta)
-    # R(W) = (W - w_bot)(w_top - W) h(W) with h smooth and positive, and
-    # (W - w_bot)(w_top - W) = half^2 sin^2/theta under the substitution,
-    # so dW / sqrt(R) = dtheta / sqrt(h).
-    h = np.empty_like(w)
-    with np.errstate(all="ignore"):
-        span = (w[1:-1] - w_bot) * (w_top - w[1:-1])
-        h[1:-1] = radicand(w[1:-1]) / span
-        h[0] = radicand_slope(w_bot) / (2.0 * half)
-        h[-1] = -radicand_slope(w_top) / (2.0 * half)
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(span))):
-        raise out_of_range("crossing-time integrand leaves")
-    if np.any(h <= 0.0):
-        raise ConfigError("turning points are not simple; orbit degenerates")
-    lam = cumulative_simpson(1.0 / np.sqrt(h), x=theta, initial=0.0)
-    period = 2.0 * float(lam[-1])
-    # clamped ends: W'(lam) vanishes exactly at the turning points
-    with np.errstate(all="ignore"):
-        spline = CubicSpline(lam, w, bc_type=((1, 0.0), (1, 0.0)))
-    if not np.all(np.isfinite(spline.c)):
-        raise out_of_range("spline table leaves")
-    return OrbitTable(float(w_bot), float(w_top), period, float(c1), spline)
+    w = 0.5 * (w_top + w_bot) - half * np.cos(theta)
+    # r(w) = (w - w_bot)(w_top - w) h(w) with h smooth and positive, so
+    # ds = dw / sqrt(r) = dtheta / sqrt(h).  Each half orbit refers r to its
+    # turning point, gamma e^-2w = (w_bot - 1/2) e^-2rise = (w_top - 1/2)
+    # e^2fall, so r never overflows and is exact there, where r' = -2w.
+    rise = 2.0 * half * np.sin(0.5 * theta) ** 2      # w - w_bot
+    fall = 2.0 * half * np.cos(0.5 * theta) ** 2      # w_top - w
+    lo, hi = slice(1, _ORBIT_SAMPLES // 2), slice(_ORBIT_SAMPLES // 2, -1)
+    r = np.concatenate((
+        -(0.5 - w_bot) * np.expm1(-2.0 * rise[lo]) - rise[lo],
+        (w_top - 0.5) * np.expm1(2.0 * fall[hi]) + fall[hi]))
+    h = np.concatenate(([-w_bot / half], r / (rise * fall)[1:-1],
+                        [w_top / half]))
+    s = cumulative_simpson(1.0 / np.sqrt(h), x=theta, initial=0.0)
+    # clamped ends: w'(s) vanishes exactly at the turning points
+    spline = CubicSpline(s, w, bc_type=((1, 0.0), (1, 0.0)))
+    return OrbitTable(in_range("bottom", w_scale * w_bot), w_scale * w_top,
+                      in_range("period", lam_scale * 2.0 * float(s[-1])),
+                      float(c1), spline, w_scale, lam_scale)
 
 
 def nested_area_integral(betas, zeta):

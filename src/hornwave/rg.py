@@ -70,11 +70,14 @@ def _log_field(params, mu, k, x, grid, label, correction=0.0):
     arg = _log_argument(k, params.nu / mu, correction)
     bad = np.nonzero(arg <= 0.0)[0]
     if bad.size:
-        i = int(bad[0])
+        i = int(bad[0])     # the argument is positive where K - C > 1 - mu/nu
+        lowest = "min K" if np.ndim(correction) == 0 else "min(K - C)"
         raise BreakdownError(
             f"{label} logarithm argument {arg[i]:.3e} <= 0 at "
-            f"x = {x:g}, tau = {grid.tau[i]:.6g}; the approximation has "
-            "broken down here", x=x, tau=float(grid.tau[i]))
+            f"x = {x:g}, tau = {grid.tau[i]:.6g}: {lowest} = "
+            f"{np.min(k - correction):.3e} is not above 1 - mu/nu = "
+            f"{1.0 - mu / params.nu:.3e}; the approximation has broken down "
+            "here", x=x, tau=float(grid.tau[i]))
     return (mu / params.a) * np.log(arg)
 
 

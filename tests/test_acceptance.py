@@ -258,9 +258,11 @@ def test_c10_slow_variation_order():
     # exact constant-flare orbits on ExponentialProfile(M), betas
     # (1, -M, 0, M): the closed forms' error against the exact field must
     # fall as |M| (q0) and |M|^2 (q1), the paper's slow-variation orders.
-    # c0 = 0.1 M holds the orbit's amplitude fixed; its period, the
-    # signal's wavelength, then grows as |M|^(-1/2): on this branch the two
-    # are tied.  qpt and the march are printed as measured, not bounded.
+    # c0 = 0.1 M at a = nu = 1 holds gamma = a^2 c0/(nu |M|) = -0.1 fixed,
+    # so the four orbits are one orbit rescaled: the amplitude is 1.957 at
+    # every M and the period, the signal's wavelength, is exactly
+    # 7.1425 |M|^(-1/2): on this branch the two are tied.  qpt and the
+    # march are printed as measured, not bounded.
     t0 = time.perf_counter()
     params = PhysParams(1.0, 1.0)
     flares = np.array([-1.0, -0.25, -0.0625, -0.03125])

@@ -2,10 +2,13 @@
 and field assembly, each checked against an independent route."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 from hornwave._quadrature import adaptive_quad
 from hornwave.errors import (BlowUpError, ConfigError, CoverageError,
@@ -22,6 +25,21 @@ from hornwave.rg import PhysParams
 from hornwave.solver import residual
 
 UNIT = PhysParams(1.0, 1.0)
+
+
+def build_quietly(m, a, c0, nu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return first_integral_solution(m, a, c0, nu=nu)
+
+
+def energy_defect(orbit, m, a, c0, nu):
+    """max |W'^2 - R| / max |R| over two periods, with R formed from
+    W / (nu/a) so that no intermediate leaves the double range."""
+    lam = orbit.phase + np.linspace(0.0, 2.0 * orbit.period, 1501)
+    u = orbit(lam) / (nu / a)
+    r = c0 * np.exp(-2.0 * u) + (m * (nu / a) / (2.0 * a)) * (2.0 * u - 1.0)
+    return float(np.max(np.abs(orbit.slope(lam) ** 2 - r)) / np.max(np.abs(r)))
 
 
 class TestSimilarityVars:
@@ -248,27 +266,84 @@ class TestFirstIntegral:
 
     def test_overdeep_well_has_no_orbit(self):
         # c0 so negative that the radicand peak never rises above zero
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"gamma .* = -2 .*\(-1/2, 0\)"):
             first_integral_solution(-1.0, 1.0, -2.0)
 
     @pytest.mark.parametrize("m, a, c0, nu", [
         pytest.param(-1.0, 1e200, -0.1, 1.0, id="1e+200"),
         pytest.param(-1.0, 1e-200, -0.1, 1.0, id="1e-200"),
-        # the orbits exist (the radicand peak balance is 5e100, 5 and 5),
-        # but the crossing-time table leaves the double range
-        (-1.0, 1e100, -0.1, 1e300),
-        (-1.0, 1e-150, -0.1, 1e-300),
-        (-1e300, 1.0, -0.1, 1e-300),
-        # M / 2a^2 overflows, and with it the radicand
-        (-1e300, 1e-50, -0.1, 1e-100),
-        # the orbit's period is 7.5e-149, too short for its spline
-        (-1e300, 1.0, -0.1, 1.0),
+        pytest.param(-1.0, 1.0, -1e200, 1e307, id="bottom"),
+        pytest.param(-1e-307, 1e160, -1.7e-320, 1.7e308, id="period"),
     ])
     def test_turning_points_past_the_double_range(self, m, a, c0, nu):
-        # a^2 or the orbit's own scale leaves the double range: exit 3, and
-        # with no RuntimeWarning on the way (the suite makes warnings errors)
+        # gamma = a^2 c0/(nu |M|) overflows or underflows to 0, or gamma is
+        # in range and the rescaled bottom (nu/a) w_bottom or period is not:
+        # exit 3, with no RuntimeWarning on the way
         with pytest.raises(RangeOverflowError, match="double range"):
             first_integral_solution(m, a, c0, nu=nu)
+
+    @pytest.mark.parametrize("m, a, c0, nu, gamma", [
+        pytest.param(-1.0, 1e100, -0.1, 1e300, -1e-101, id="a1e+100-nu1e+300"),
+        pytest.param(-1.0, 1e-150, -0.1, 1e-300, -0.1, id="a1e-150-nu1e-300"),
+        pytest.param(-1e300, 1.0, -0.1, 1e-300, -0.1, id="M-1e+300-nu1e-300"),
+        pytest.param(-1e300, 1e-50, -0.1, 1e-100, -1e-301,
+                     id="M-1e+300-a1e-50-nu1e-100"),
+        pytest.param(-1e300, 1.0, -0.1, 1.0, -1e-301, id="M-1e+300"),
+    ])
+    def test_extreme_scales_still_build(self, m, a, c0, nu, gamma):
+        # a^2, M / 2a^2 or nu |M| leaves the double range, but gamma and the
+        # scales nu/a and sqrt(nu/|M|) do not, so the orbit builds
+        orbit = build_quietly(m, a, c0, nu)
+        reduced = build_quietly(-1.0, 1.0, gamma, 1.0)
+        assert energy_defect(orbit, m, a, c0, nu) \
+            <= 10.0 * energy_defect(reduced, -1.0, 1.0, gamma, 1.0)
+
+    @pytest.mark.parametrize("nu", [1e-10, 1e-14, 1e-20])
+    def test_small_orbits_keep_their_turning_points(self, nu):
+        # c0 = -0.1 nu holds gamma = -0.1: the nu = 1 orbit scaled by nu
+        unit = build_quietly(-1.0, 1.0, -0.1, 1.0)
+        orbit = build_quietly(-1.0, 1.0, -0.1 * nu, nu)
+        assert energy_defect(orbit, -1.0, 1.0, -0.1 * nu, nu) \
+            <= 10.0 * energy_defect(unit, -1.0, 1.0, -0.1, 1.0)
+        assert orbit.w_bottom == pytest.approx(nu * unit.w_bottom, rel=1e-14)
+        assert orbit.w_top == pytest.approx(nu * unit.w_top, rel=1e-14)
+
+    @pytest.mark.parametrize("a, nu", [
+        pytest.param(1.0, 1.0, id="unit"),
+        pytest.param(2.0 ** -20, 2.0 ** -40, id="scaled")])
+    def test_turning_points_match_lambert_w(self, a, nu):
+        # gamma = a^2 c0/(nu |M|) = c0 exactly on both (the scales are powers
+        # of two), and the second orbit is 2^-20 high
+        gammas = np.concatenate((-np.logspace(-300.0, -1.0, 61),
+                                 np.linspace(-0.49, -0.11, 20)))
+        for gamma in gammas:
+            orbit = build_quietly(-1.0, a, gamma, nu)
+            for k, got in ((-1, orbit.w_bottom), (0, orbit.w_top)):
+                want = 0.5 + 0.5 * special.lambertw(2.0 * gamma / math.e, k).real
+                assert got / (nu / a) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=60)
+    @given(log_gamma=st.floats(-12.0, math.log10(0.49)),
+           log_a=st.floats(-100.0, 100.0), log_nu=st.floats(-100.0, 100.0),
+           log_m=st.floats(-100.0, 100.0))
+    def test_every_orbit_is_the_gamma_orbit_rescaled(self, log_gamma, log_a,
+                                                     log_nu, log_m):
+        # the orbit at (M, a, c0, nu) is (nu/a) w_gamma(lam / sqrt(nu/|M|))
+        gamma, a, nu, m = -10.0 ** log_gamma, 10.0 ** log_a, \
+            10.0 ** log_nu, -(10.0 ** log_m)
+        # R's linear coefficient |M| nu / 2a^2 = c0 / 2 gamma must be a double
+        slope_term = -m * (nu / a) / (2.0 * a)
+        assume(1e-290 < slope_term < 1e290)
+        c0 = 2.0 * gamma * slope_term
+        orbit = build_quietly(m, a, c0, nu)
+        assert energy_defect(orbit, m, a, c0, nu) <= 1e-9
+        reduced = build_quietly(-1.0, 1.0, gamma, 1.0)
+        lam_scale = math.sqrt(nu) / math.sqrt(-m)
+        assert orbit.period / lam_scale \
+            == pytest.approx(reduced.period, rel=1e-12)
+        s = np.linspace(0.0, 2.0 * reduced.period, 401)
+        np.testing.assert_allclose(orbit(s * lam_scale) / (nu / a), reduced(s),
+                                   rtol=0.0, atol=1e-12 * -reduced.w_bottom)
 
     def test_viscous_scaling_of_the_radicand(self):
         m, a, c0, nu = -1.0, 1.0, -0.05, 0.5

@@ -302,7 +302,7 @@ def counted_convolutions():
 
 
 class TestSmoothingRoutes:
-    @settings(deadline=None, derandomize=True, max_examples=60)
+    @settings(max_examples=60)
     @given(signal=spectral_signals(), nux=st.floats(1e-3, 3.0))
     def test_spectral_route_positive_and_close_to_direct(self, signal, nux):
         ic, a, w_max = signal
@@ -315,7 +315,7 @@ class TestSmoothingRoutes:
         gap = np.max(np.abs(spectral - direct))
         assert gap <= ROUTE_GAP * math.exp(a * w_max)
 
-    @settings(deadline=None, derandomize=True, max_examples=60)
+    @settings(max_examples=60)
     @given(a_nu=st.floats(0.0, 10.0), amp=st.floats(0.1, 1.0),
            phase=st.floats(0.0, 2 * math.pi), nux=st.floats(0.01, 5.0))
     def test_spectral_route_against_series(self, a_nu, amp, phase, nux):

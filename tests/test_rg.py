@@ -189,7 +189,7 @@ class TestConstantChannelAtStrongCoupling:
         slope = np.polyfit(np.log(ratios), np.log(gaps), 1)[0]
         assert abs(slope + 1.0) <= 0.2
 
-    @settings(deadline=None, derandomize=True, max_examples=40)
+    @settings(max_examples=40)
     @given(signal=shifted_signals(), nux=st.floats(1e-3, 3.0))
     def test_shifting_the_signal_shifts_q0(self, signal, nux):
         # W + c multiplies K by e^{a c / nu}, so q0 moves by c exactly.  Each
@@ -297,6 +297,20 @@ class TestBreakdown:
             zero_order(params, FLARE, COS, 0.05, GRID)
         assert err.value.x == 0.05
         assert abs(err.value.tau - math.pi) < 1.0
+
+    def test_message_names_min_k_and_its_threshold(self):
+        # the zero-order argument (1 - nu/mu) + (nu/mu) K is positive exactly
+        # where K > 1 - mu/nu; at a/nu = 25 the trough of K sits below that
+        x, grid = 0.01, TauGrid.periodic_default(1024)
+        with pytest.raises(BreakdownError) as err:
+            zero_order(PhysParams(25.0, 1.0), FLARE, COS, x, grid)
+        min_k = float(np.min(
+            kernel_module.kernel_quadrature(COS, 25.0, 1.0, x, grid).k))
+        threshold = 1.0 - FLARE.mu(1.0, x)
+        assert 0.0 < min_k < threshold
+        assert f"min K = {min_k:.3e}" in str(err.value)
+        assert f"1 - mu/nu = {threshold:.3e}" in str(err.value)
+        assert err.value.x == x
 
     def test_stations_beyond_window_recover(self):
         params = PhysParams(10.0, 1.0)
