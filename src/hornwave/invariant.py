@@ -20,18 +20,48 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import CubicSpline
 
 from ._quadrature import adaptive_quad
 from .errors import (BlowUpError, ConfigError, CoverageError, DomainError,
                      HornWaveError, RangeOverflowError, SingularProfileError)
 from .grid import TauGrid
-from .profiles import classifying_b, d_of_zeta
+from .profiles import _HermiteTable, classifying_b, d_of_zeta
 from .rg import PhysParams
 
 _BLOW_UP_LIMIT = 1e8
 _ORBIT_SAMPLES = 4097      # theta samples across one half orbit
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, sec. II.5) as scipy's RK45 holds it: stage
+# nodes, stage rows, fifth-order weights, error weights (fifth minus
+# embedded fourth order, over the seven stages with the FSAL one) and the
+# quartic dense output of Shampine (Math. Comp. 46, 1986).
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# step controller: safety factor, the step's largest cut and growth, and
+# the error exponent -1/(q + 1) of the embedded order q = 4
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1.0 / 5.0
 
 
 def similarity_vars(betas, zeta, tau):
@@ -117,6 +147,116 @@ class ShapeTable:
         return self._eval(lam, 1)
 
 
+class _DenseBranch:
+    """The quartic dense output of one march, step by step.
+
+    ``lam[k]`` ends step k; a point on a step boundary reads the step that
+    ends there, and points beyond the march read its last step.  Called
+    with an array of lam, it returns the rows W and W' there.
+    """
+
+    def __init__(self, lam, y_old, coef):
+        self._reach = np.abs(lam[1:])      # distance from 0, ascending
+        self._lam_old = lam[:-1]
+        self._h = np.diff(lam)
+        self._y_old = np.array(y_old)
+        self._coef = np.array(coef)        # (steps, 2, 4)
+
+    def __call__(self, lam):
+        k = np.minimum(np.searchsorted(self._reach, np.abs(lam)),
+                       self._h.size - 1)
+        h = self._h[k]
+        x = (lam - self._lam_old[k]) / h
+        powers = np.cumprod(np.broadcast_to(x, (4,) + x.shape), axis=0)
+        return (h * np.einsum("kij,jk->ik", self._coef[k], powers)
+                + self._y_old[k].T)
+
+
+def _rms(v):
+    return math.sqrt(v @ v) / math.sqrt(v.size)
+
+
+def _dormand_prince(rhs, y, end, rtol, atol, max_step):
+    """March ``y' = rhs(lam, y)`` from lam = 0 to ``end`` (either sign).
+
+    scipy's RK45 step by step: its tableau, its RMS error norm scaled by
+    atol + rtol * max(|y_old|, |y_new|), its step controller and
+    initial-step rule, and ``max_step``.  Returns the dense output; |W|
+    crossing the blow-up limit raises BlowUpError at the crossing, and a
+    step below ten ulp of lam raises the "stalled" HornWaveError.
+    """
+    sign = math.copysign(1.0, end)
+    lam, f = 0.0, rhs(0.0, y)
+
+    # initial step (Hairer, Norsett & Wanner, sec. II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(end))
+    d2 = _rms((rhs(sign * h0, y + sign * h0 * f) - f) / scale) / h0
+    h1 = (max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15
+          else (0.01 / max(d1, d2)) ** -_ERR_EXP)
+    h_abs = min(100.0 * h0, h1, abs(end), max_step)
+
+    stages = np.empty((7, y.size))
+    lams, y_olds, coefs = [lam], [], []
+    while sign * (lam - end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(lam, sign * math.inf) - lam)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                # typical cause: a logarithmic downward escape, where W
+                # drifts to -inf too slowly to reach the |W| limit
+                raise HornWaveError(
+                    f"factor ODE stalled at lam = {lam:g}: the step fell "
+                    "below ten ulp of lam")
+            lam_new = lam + sign * h_abs
+            if sign * (lam_new - end) > 0.0:
+                lam_new = end
+            h = lam_new - lam
+            h_abs = abs(h)
+            stages[0] = f
+            for i in range(1, 6):
+                stages[i] = rhs(lam + _DP_C[i] * h,
+                                y + (stages[:i].T @ _DP_A[i, :i]) * h)
+            y_new = y + h * (stages[:6].T @ _DP_B)
+            f_new = stages[6] = rhs(lam + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms((stages.T @ _DP_E) * h / scale)
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+            rejected = True
+        lams.append(lam_new)
+        y_olds.append(y)
+        coefs.append(stages.T @ _DP_P)
+        if abs(y_new[0]) >= _BLOW_UP_LIMIT > abs(y[0]):
+            escape = _crossing(_DenseBranch(np.array([lam, lam_new]), [y],
+                                            [coefs[-1]]), lam, lam_new)
+            raise BlowUpError(
+                f"|W| reached {_BLOW_UP_LIMIT:g} at lam = {escape:g}",
+                escape=escape)
+        lam, y, f = lam_new, y_new, f_new
+    return _DenseBranch(np.array(lams), y_olds, coefs)
+
+
+def _crossing(step, inside, outside):
+    """Where |W| first reaches the blow-up limit inside one step: bisect
+    the step's dense output, from the lam where |W| is below the limit and
+    the one where it is not, down to adjacent doubles."""
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return outside
+        if abs(step(np.array([mid]))[0, 0]) >= _BLOW_UP_LIMIT:
+            outside = mid
+        else:
+            inside = mid
+
+
 def integrate_factor_ode(config: InvariantConfig, lambda_max, *,
                          lambda_min=0.0, rtol=1e-10, atol=1e-10):
     """March the factor ODE out of lam = 0.
@@ -124,11 +264,13 @@ def integrate_factor_ode(config: InvariantConfig, lambda_max, *,
         nu W'' + a (W')^2 + (M + beta1) (lam/2) W' - M W
             + (beta0 beta2 / 4a) lam^2 = 0
 
-    The initial data are the config's (w0, w0_slope).  Uses an embedded
-    5(4) pair with dense output so the table can be sampled anywhere on
-    [lambda_min, lambda_max]; pass lambda_min < 0 to also cover the
-    negative side (the default span is forward only).  |W| passing 1e8
-    stops the march and reports the escape lam.
+    The initial data are the config's (w0, w0_slope).  Uses the
+    Dormand-Prince 5(4) pair with its quartic dense output (the method of
+    scipy's RK45) so the table can be sampled anywhere on [lambda_min,
+    lambda_max]; pass lambda_min < 0 to also cover the negative side (the
+    default span is forward only).  |W| reaching 1e8 stops the march and
+    raises BlowUpError with the escape lam; a step that underflows raises
+    HornWaveError ("stalled").
     """
     w0, w0_slope = config.w0, config.w0_slope
     if w0 is None or w0_slope is None:
@@ -149,31 +291,13 @@ def integrate_factor_ode(config: InvariantConfig, lambda_max, *,
 
     def rhs(lam, y):
         w, s = y
-        return (s, (m * w - a * s * s - 0.5 * (m + b1) * lam * s
-                    - forcing * lam * lam) / nu)
-
-    def escape(lam, y):
-        return abs(y[0]) - _BLOW_UP_LIMIT
-
-    escape.terminal = True
+        return np.array((s, (m * w - a * s * s - 0.5 * (m + b1) * lam * s
+                             - forcing * lam * lam) / nu))
 
     ends = [lambda_max] + ([lambda_min] if lambda_min < 0 else [])
-    branches = []
-    for end in ends:
-        sol = solve_ivp(rhs, (0.0, end), (float(w0), float(w0_slope)),
-                        method="RK45", rtol=rtol, atol=atol,
-                        dense_output=True, events=escape, max_step=max_step)
-        if sol.t_events[0].size:
-            lam_esc = float(sol.t_events[0][0])
-            raise BlowUpError(
-                f"|W| reached {_BLOW_UP_LIMIT:g} at lam = {lam_esc:g}",
-                escape=lam_esc)
-        if not sol.success:
-            # typical cause: a logarithmic downward escape, where W drifts to
-            # -inf too slowly to trip the |W| event but the step underflows
-            raise HornWaveError(
-                f"factor ODE stalled at lam = {sol.t[-1]:g}: {sol.message}")
-        branches.append(sol.sol)
+    branches = [_dormand_prince(rhs, np.array((float(w0), float(w0_slope))),
+                                float(end), rtol, atol, max_step)
+                for end in ends]
     backward = branches[1] if len(branches) > 1 else None
     return ShapeTable(float(lambda_min), float(lambda_max),
                       branches[0], backward)
@@ -192,12 +316,12 @@ class OrbitTable:
     w_top: float
     period: float
     phase: float
-    _spline: CubicSpline = field(repr=False)
+    _table: _HermiteTable = field(repr=False)
     _w_scale: float = field(repr=False)
     _lam_scale: float = field(repr=False)
 
     def _fold(self, lam):
-        half = self._spline.x[-1]
+        half = self._table.x[-1]
         s = np.mod((np.asarray(lam, dtype=float) - self.phase)
                    / self._lam_scale, 2.0 * half)
         mirror = s > half
@@ -205,12 +329,12 @@ class OrbitTable:
 
     def __call__(self, lam):
         s, _ = self._fold(lam)
-        out = self._w_scale * self._spline(s)
+        out = self._w_scale * self._table(s)
         return out if np.ndim(lam) else float(out)
 
     def slope(self, lam):
         s, mirror = self._fold(lam)
-        out = np.where(mirror, -1.0, 1.0) * self._spline(s, 1) \
+        out = np.where(mirror, -1.0, 1.0) * self._table(s, 1) \
             * (self._w_scale / self._lam_scale)
         return out if np.ndim(lam) else float(out)
 
@@ -249,7 +373,8 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
     every orbit is the gamma-orbit rescaled, and one exists exactly when
     -1/2 < gamma < 0.  The angular substitution w = mid - half*cos(theta)
     turns both inverse-square-root endpoints of s(w) into a smooth
-    integrand sampled densely in theta.
+    integrand sampled densely in theta, and the table w(s) takes its
+    exact slopes dw/ds = half sin(theta) sqrt(h) at the samples.
     """
     if a <= 0 or nu <= 0:
         raise ConfigError(f"a = {a:g} and nu = {nu:g} must be positive")
@@ -288,28 +413,44 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
         (w_top - 0.5) * np.expm1(2.0 * fall[hi]) + fall[hi]))
     h = np.concatenate(([-w_bot / half], r / (rise * fall)[1:-1],
                         [w_top / half]))
-    s = cumulative_simpson(1.0 / np.sqrt(h), x=theta, initial=0.0)
-    # clamped ends: w'(s) vanishes exactly at the turning points
-    spline = CubicSpline(s, w, bc_type=((1, 0.0), (1, 0.0)))
+    root_h = np.sqrt(h)
+    s = _cumulative_simpson(1.0 / root_h, math.pi / (_ORBIT_SAMPLES - 1))
+    # w'(s) vanishes exactly at the turning points, where sin(pi) does not
+    slope = half * np.sin(theta) * root_h
+    slope[-1] = 0.0
     return OrbitTable(in_range("bottom", w_scale * w_bot), w_scale * w_top,
                       in_range("period", lam_scale * 2.0 * float(s[-1])),
-                      float(c1), spline, w_scale, lam_scale)
+                      float(c1), _HermiteTable(s, w, slope), w_scale, lam_scale)
+
+
+def _cumulative_simpson(y, dx):
+    """Running integral from 0 of samples ``y`` a uniform ``dx`` apart.
+
+    Each step's integral is Simpson's through the step and its neighbour,
+    the one after it on even steps and the one before on odd steps and the
+    last, as scipy's ``cumulative_simpson`` forms it.
+    """
+    ahead = dx / 3.0 * (1.25 * y[:-2] + 2.0 * y[1:-1] - 0.25 * y[2:])
+    behind = dx / 3.0 * (1.25 * y[2:] + 2.0 * y[1:-1] - 0.25 * y[:-2])
+    steps = np.empty(y.size - 1)
+    steps[:-1:2] = ahead[0::2]
+    steps[1::2] = behind[0::2]
+    steps[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def nested_area_integral(betas, zeta):
-    """Area term of the beta2 bracket, one adaptive quadrature a station.
+    """Area term of the beta2 bracket at one station or an array of them.
 
     F = integral_0^zeta exp(-d(z))/b(z) integral_0^z exp(d(y)) dy dz, and
     since d' = M/b, one integration by parts leaves a single integral,
-    F = -(1/M) integral_0^zeta expm1(d(y) - d(zeta)) dy (M != 0).
+    F = -(1/M) integral_0^zeta expm1(d(y) - d(zeta)) dy (M != 0), taken
+    for every station in one quadrature.
     """
-    if zeta == 0.0:
-        return 0.0
-    if zeta < 0.0:
-        raise DomainError("zeta must be >= 0")
-    d_end = d_of_zeta(betas, zeta)
-    return -adaptive_quad(lambda y: math.expm1(d_of_zeta(betas, y) - d_end),
-                          0.0, zeta, rtol=1e-10) / betas[3]
+    d_end = np.atleast_1d(d_of_zeta(betas, zeta))[:, None]
+    area = adaptive_quad(lambda y: np.expm1(d_of_zeta(betas, y) - d_end),
+                         0.0, zeta, rtol=1e-10) / -betas[3]
+    return area if np.ndim(zeta) else float(area)
 
 
 def assemble_invariant_q(config: InvariantConfig, zeta, tau_grid: TauGrid,
@@ -336,8 +477,7 @@ def assemble_invariant_q(config: InvariantConfig, zeta, tau_grid: TauGrid,
     else:
         a = config.params.a
         nu = config.params.nu
-        area = np.array([nested_area_integral(config.betas, z)
-                         for z in zetas])[:, None]
+        area = nested_area_integral(config.betas, zetas)[:, None]
         correction = 0.5 * zetas[:, None] * lam * lam + nu * area
         q = gain * (w - (b2 / (2.0 * a)) * correction)
     return q if np.ndim(zeta) else q[0]

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
+from ._quadrature import GAUSS_NODES, GAUSS_WEIGHTS
 # imported only for perfbench's tracer, which patches the name here;
 # nothing in this module calls it
 from ._quadrature import adaptive_quad  # noqa: F401
@@ -35,7 +35,6 @@ _MIDPOINT_TOL = 1e-13
 _BETA_PANELS = 32
 _MAX_SPLIT_ROUNDS = 60
 _MAX_PANELS = 1 << 16
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _check_range(arr, hi, what, hi_open=False):
@@ -65,13 +64,69 @@ def _panels(rate, lo, hi, rate_lo):
     mid = 0.5 * (lo + hi)
     a, b = np.stack([lo, mid]), np.stack([mid, hi])
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[..., None] + half[..., None] * _GAUSS_NODES
-    return np.vstack([lo, mid, hi, rate_lo, half * (rate(nodes) @ _GAUSS_WEIGHTS)])
+    nodes = (0.5 * (a + b))[..., None] + half[..., None] * GAUSS_NODES
+    return np.vstack([lo, mid, hi, rate_lo, half * (rate(nodes) @ GAUSS_WEIGHTS)])
 
 
-def _clamped(spline):
-    """``spline`` held at its last knot beyond it (a stalled table end)."""
-    return lambda v: spline(np.minimum(v, spline.x[-1]))
+class _HermiteTable:
+    """Piecewise cubic through knots ``x`` with values ``y`` and slopes
+    ``slope``.
+
+    Each piece is held in powers of u = v - x_i, as scipy's
+    ``CubicHermiteSpline`` holds it, and the end pieces extend beyond the
+    knots.  Call it with ``nu = 1`` for the first derivative.
+    """
+
+    def __init__(self, x, y, slope):
+        self.x = x
+        self._inner = x[1:-1]     # searchsorted here gives the piece index
+        dx = np.diff(x)
+        secant = np.diff(y) / dx
+        t = (slope[:-1] + slope[1:] - 2.0 * secant) / dx
+        self._coef = np.stack((t / dx, (secant - slope[:-1]) / dx - t,
+                               slope[:-1], y[:-1]))
+
+    def __call__(self, v, nu=0):
+        i = np.searchsorted(self._inner, v, side="right")
+        u = v - self.x[i]
+        c3, c2, c1, c0 = self._coef[:, i]
+        if nu:
+            return c1 + 2.0 * (c2 * u) + 3.0 * (c3 * (u * u))
+        return c0 + c1 * u + c2 * (u * u) + c3 * (u * u * u)
+
+
+def _pchip_slopes(x, y):
+    """Knot slopes of the monotone cubic through (x, y) (Fritsch-Carlson,
+    in the form of scipy's ``PchipInterpolator``).
+
+    Inside, the weighted harmonic mean of the two neighbouring secants, or
+    0 where they differ in sign or one is flat; at each end the one-sided
+    three-point estimate, set to 0 if it opposes the end secant and to 3x
+    that secant if the data turn and it overshoots.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    turn = np.sign(m[1:]) * np.sign(m[:-1]) <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+
+    def end(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    return np.concatenate(([end(h[0], h[1], m[0], m[1])],
+                           np.where(turn, 0.0, inner),
+                           [end(h[-1], h[-2], m[-1], m[-2])]))
+
+
+def _clamped(table):
+    """``table`` held at its last knot beyond it (a stalled table end)."""
+    return lambda v: table(np.minimum(v, table.x[-1]))
 
 
 class Profile:
@@ -263,7 +318,7 @@ class _TableMapProfile(Profile):
     1/sqrt(S) for measured ducts, dx/dzeta = exp(d) for the classified
     family) and calls :meth:`_tabulate_map` from ``__post_init__``.  Each
     panel's increment comes from a fixed-order Gauss-Legendre rule; one
-    cubic Hermite spline per direction, with the exact rate (or its
+    cubic Hermite table per direction, with the exact rate (or its
     reciprocal) as the slope, then answers every query.  A panel is
     halved until both splines reproduce its midpoint, the inverse one
     forward or backward (see :func:`_map_err`), and the round trip must
@@ -292,9 +347,8 @@ class _TableMapProfile(Profile):
                     and np.all((slope >= 0.0) & (slope < np.inf))):
                 raise QuadratureError(
                     f"coordinate rate is not finite and positive on [0, {s[-1]:g}]")
-            forward = CubicHermiteSpline(s, t, slope)
-            inverse = _clamped(CubicHermiteSpline(t[:end], s[:end],
-                                                  1.0 / slope[:end]))
+            forward = _HermiteTable(s, t, slope)
+            inverse = _clamped(_HermiteTable(t[:end], s[:end], 1.0 / slope[:end]))
             t_mid = t[:-1] + left
             missed = np.maximum(_rel_err(forward(mid), t_mid),
                                 _map_err(inverse, forward, t_mid, mid)) > _MIDPOINT_TOL
@@ -401,13 +455,12 @@ class TabulatedProfile(_TableMapProfile):
         object.__setattr__(self, "x_samples", x)
         object.__setattr__(self, "s_samples", s)
         # the interpolant is the area formula; its derivative gives S'/(2S)
-        interp = PchipInterpolator(x, s, extrapolate=False)
-        object.__setattr__(self, "_area", interp)
-        object.__setattr__(self, "_area_slope", interp.derivative())
-        self._tabulate_map(x, lambda t: 1.0 / np.sqrt(interp(t)), from_x=True)
+        area = _HermiteTable(x, s, _pchip_slopes(x, s))
+        object.__setattr__(self, "_area", area)
+        self._tabulate_map(x, lambda t: 1.0 / np.sqrt(area(t)), from_x=True)
 
     def _mu_x_over_mu(self, x):
-        return self._area_slope(x) / (2.0 * self._area(x))
+        return self._area(x, 1) / (2.0 * self._area(x))
 
 
 def classifying_b(betas, zeta):

@@ -2,6 +2,7 @@
 and field assembly, each checked against an independent route."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,13 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from hornwave._quadrature import adaptive_quad
 from hornwave.errors import (BlowUpError, ConfigError, CoverageError,
                              DomainError, HornWaveError, RangeOverflowError,
                              SingularProfileError)
 from hornwave.grid import TauGrid
 from hornwave.invariant import (InvariantConfig, OrbitTable,
-                                ShapeTable, assemble_invariant_q,
+                                ShapeTable, _cumulative_simpson,
+                                assemble_invariant_q,
                                 first_integral_solution, integrate_factor_ode,
                                 nested_area_integral, similarity_vars)
 from hornwave.profiles import (BetaFamilyProfile, PowerLawProfile,
@@ -143,6 +144,110 @@ def fixed_step_rk4(betas, a, nu, lam_max, nsteps, w0, s0):
         lam += h
         out.append(y[0])
     return np.array(out)
+
+
+def scipy_factor_ode(cfg, end, max_step):
+    """The factor ODE through scipy's RK45 at the library's tolerances,
+    stopped by a terminal event where |W| reaches 1e8."""
+    b0, b1, b2, m = cfg.betas
+    a, nu = cfg.params.a, cfg.params.nu
+
+    def rhs(lam, y):
+        w, s = y
+        return [s, (m * w - a * s * s - 0.5 * (m + b1) * lam * s
+                    - (b0 * b2 / (4.0 * a)) * lam * lam) / nu]
+
+    def escape(lam, y):
+        return abs(y[0]) - 1e8
+
+    escape.terminal = True
+    return integrate.solve_ivp(rhs, (0.0, end), (cfg.w0, cfg.w0_slope),
+                               method="RK45", rtol=1e-10, atol=1e-10,
+                               dense_output=True, events=escape,
+                               max_step=max_step)
+
+
+def march_outcomes(cfg, lam_max, lam_min):
+    """What the library's march and scipy's RK45 make of one config: an
+    escape lam, the lam where the step stalled, or both tables."""
+    try:
+        table = integrate_factor_ode(cfg, lam_max, lambda_min=lam_min)
+        ours = ("table", table)
+    except BlowUpError as err:
+        ours = ("escape", err.escape)
+    except HornWaveError as err:
+        assert "stalled" in str(err)
+        ours = ("stall", float(re.search(r"lam = (\S+):", str(err)).group(1)))
+    for end in (lam_max, lam_min):
+        sol = scipy_factor_ode(cfg, end, lam_max / 256.0)
+        if sol.t_events[0].size:
+            return ours, ("escape", float(sol.t_events[0][0]))
+        if sol.status == -1:
+            return ours, ("stall", float(sol.t[-1]))
+    return ours, ("table", None)
+
+
+class TestAgainstScipy:
+    """The march and the orbit's running integral against the scipy
+    routines they replace, at the same tolerances."""
+
+    @given(y=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=40),
+           dx=st.floats(1e-3, 10.0))
+    def test_cumulative_simpson(self, y, dx):
+        y = np.array(y)
+        want = integrate.cumulative_simpson(y, dx=dx, initial=0.0)
+        np.testing.assert_allclose(_cumulative_simpson(y, dx), want, rtol=1e-13,
+                                   atol=1e-13 * dx * (1.0 + np.sum(np.abs(y))))
+
+    @pytest.mark.parametrize("betas, params, w0, w0_slope, lam_max, lam_min, kind", [
+        pytest.param((1.0, 0.0, 1.0, 1.0), UNIT, 0.3, 0.0, 1.0, -1.0, "table",
+                     id="both-sides"),
+        pytest.param((1.0, 1.0, 0.0, -1.0), UNIT, 0.0, 1.0, 3.0, 0.0, "table",
+                     id="forward"),
+        pytest.param((1.0, -25.0, 0.0, 25.0), PhysParams(1e-8, 1.0), 1.0, 0.0,
+                     5.0, 0.0, "escape", id="escape"),
+        pytest.param((1.0, 1.0, 0.0, -1.0), UNIT, 0.0, 1.0, 1.0, -1.5, "stall",
+                     id="stall"),
+    ])
+    def test_march_matches_rk45(self, betas, params, w0, w0_slope, lam_max,
+                                lam_min, kind):
+        cfg = InvariantConfig(betas=betas, params=params, w0=w0, w0_slope=w0_slope)
+        ours, theirs = march_outcomes(cfg, lam_max, lam_min)
+        assert ours[0] == theirs[0] == kind
+        self.assert_same(cfg, ours, theirs, lam_max, lam_min)
+
+    @settings(max_examples=30)
+    @given(b1=st.floats(-2.0, 2.0), b2=st.floats(-1.0, 1.0),
+           m=st.floats(0.1, 2.0), m_sign=st.sampled_from([-1.0, 1.0]),
+           a=st.floats(0.2, 3.0), nu=st.floats(0.05, 2.0),
+           w0=st.floats(-1.0, 1.0), w0_slope=st.floats(-2.0, 2.0),
+           lam_max=st.floats(0.5, 4.0), backward=st.booleans())
+    def test_march_matches_rk45_anywhere(self, b1, b2, m, m_sign, a, nu, w0,
+                                         w0_slope, lam_max, backward):
+        cfg = InvariantConfig(betas=(1.0, b1, b2, m_sign * m),
+                              params=PhysParams(a, nu), w0=w0, w0_slope=w0_slope)
+        lam_min = -lam_max if backward else 0.0
+        ours, theirs = march_outcomes(cfg, lam_max, lam_min)
+        assert ours[0] == theirs[0]
+        self.assert_same(cfg, ours, theirs, lam_max, lam_min)
+
+    @staticmethod
+    def assert_same(cfg, ours, theirs, lam_max, lam_min):
+        if ours[0] == "escape":
+            assert ours[1] == pytest.approx(theirs[1], rel=1e-12)
+        elif ours[0] == "stall":
+            # the message prints lam to six digits
+            assert ours[1] == pytest.approx(theirs[1], rel=1e-5)
+        else:
+            table = ours[1]
+            for end in (lam_max, lam_min):
+                if end == 0.0:
+                    continue
+                lam = np.linspace(0.0, end, 601)
+                sol = scipy_factor_ode(cfg, end, lam_max / 256.0).sol(lam)
+                scale = 1e-12 * (1.0 + np.max(np.abs(sol), axis=1))
+                assert np.max(np.abs(table(lam) - sol[0])) <= scale[0]
+                assert np.max(np.abs(table.slope(lam) - sol[1])) <= scale[1]
 
 
 class TestFactorODE:
@@ -365,9 +470,8 @@ class TestNestedIntegral:
             m = betas[3]
             for z in (0.2, 0.6 * zmax, zmax):
                 f = nested_area_integral(betas, z)
-                e = adaptive_quad(
-                    lambda y: math.exp(d_of_zeta(betas, y)), 0.0, z,
-                    rtol=1e-12)
+                e = integrate.quad(lambda y: math.exp(d_of_zeta(betas, y)),
+                                   0.0, z, epsabs=0.0, epsrel=1e-12)[0]
                 assert abs(m * f + math.exp(-d_of_zeta(betas, z)) * e - z) < 1e-10
 
     @pytest.mark.parametrize("betas", [(1.0, 0.0, 1.0, 1.0),     # disc < 0

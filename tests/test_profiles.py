@@ -10,32 +10,37 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import integrate
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from hornwave import profiles as P
-from hornwave._quadrature import adaptive_quad
 from hornwave.errors import (ConfigError, DomainError, QuadratureError,
                              SingularProfileError)
+
+
+def quad(func, lo, hi, rtol):
+    """scipy's adaptive Gauss-Kronrod rule, which shares no code with the
+    library's quadrature; an unmet tolerance warns, and warnings fail."""
+    return integrate.quad(func, lo, hi, epsabs=1e-14, epsrel=rtol,
+                          limit=200)[0]
 
 
 def quad_d(betas, zeta):
     """Independent oracle: direct quadrature of M/b."""
     b0, b1, b2, m = betas
-    return m * adaptive_quad(lambda y: 1.0 / (b0 + y * (b1 + b2 * y)),
-                             0.0, zeta, rtol=1e-13)
+    return m * quad(lambda y: 1.0 / (b0 + y * (b1 + b2 * y)), 0.0, zeta, 1e-13)
 
 
 def quad_zeta_of_x(prof, x):
     """Independent oracle: 1/sqrt(S) integrated sample interval by interval."""
     edges = np.append(prof.x_samples[prof.x_samples < x], x)
-    return sum(adaptive_quad(lambda t: 1.0 / math.sqrt(prof.area(t)),
-                             lo, hi, rtol=1e-12)
+    return sum(quad(lambda t: 1.0 / math.sqrt(prof.area(t)), lo, hi, 1e-12)
                for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def quad_x_of_zeta(betas, zeta):
     """Independent oracle: exp(d) integrated from the throat."""
-    return adaptive_quad(lambda y: math.exp(P.d_of_zeta(betas, y)),
-                         0.0, zeta, rtol=1e-12)
+    return quad(lambda y: math.exp(P.d_of_zeta(betas, y)), 0.0, zeta, 1e-12)
 
 
 def rippled_duct():
@@ -398,3 +403,69 @@ class TestTabulatedProfile:
     def test_rejects_unnormalized_section(self):
         with pytest.raises(ConfigError):
             P.TabulatedProfile(np.linspace(0, 1, 5), np.full(5, 2.0))
+
+
+@st.composite
+def knots(draw, values):
+    """Strictly increasing knots with uneven gaps, and one value a knot."""
+    n = draw(st.integers(4, 24))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1))
+    x = np.concatenate(([0.0], np.cumsum(gaps)))
+    return x, np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+def probes(x):
+    """The knots, points between them and points beyond both ends."""
+    inside = np.linspace(x[0], x[-1], 97)
+    return np.concatenate((x, inside, [x[0] - 0.3, x[-1] + 0.3]))
+
+
+class TestHermiteTable:
+    """The private Hermite table and PCHIP slopes against scipy's
+    interpolators, the code they replace."""
+
+    @given(data=knots(st.floats(-5.0, 5.0)),
+           slopes=st.lists(st.floats(-5.0, 5.0), min_size=24, max_size=24))
+    def test_matches_cubic_hermite_spline(self, data, slopes):
+        x, y = data
+        slope = np.array(slopes[:x.size])
+        table, spline = P._HermiteTable(x, y, slope), CubicHermiteSpline(x, y, slope)
+        v = probes(x)
+        for nu in (0, 1):
+            np.testing.assert_allclose(table(v, nu), spline(v, nu),
+                                       rtol=1e-13, atol=1e-13)
+
+    # small integers make flat runs, turns and both end corrections common
+    @given(data=knots(st.integers(-3, 3).map(float)))
+    def test_pchip_slopes_match_pchip_interpolator(self, data):
+        x, y = data
+        slope = P._pchip_slopes(x, y)
+        pchip = PchipInterpolator(x, y)
+        np.testing.assert_allclose(slope, pchip.derivative()(x),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(P._HermiteTable(x, y, slope)(probes(x)),
+                                   pchip(probes(x)), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("y, first", [
+        pytest.param([0.0, 1.0, 2.0, 3.0, 4.0], 1.0, id="straight"),
+        pytest.param([0.0, 1.0, 1.0, 1.0, 0.0], 1.5, id="flat-run"),
+        pytest.param([0.0, 1.0, 5.0, 4.0, 0.0], 0.0, id="opposes-end-secant"),
+        pytest.param([0.0, 1.0, -3.0, -2.0, 0.0], 3.0, id="overshoots-a-turn"),
+    ])
+    def test_end_formula_branches(self, y, first):
+        # unit gaps: the three-point end slope (3 m0 - m1)/2 as it is, set
+        # to 0 against the end secant m0, or held at 3 m0 at a turn
+        x = np.arange(5.0)
+        slope = P._pchip_slopes(x, np.array(y))
+        assert slope[0] == first
+        np.testing.assert_allclose(slope, PchipInterpolator(x, y).derivative()(x),
+                                   rtol=1e-15, atol=1e-15)
+
+    def test_tabulated_area_is_pchip(self):
+        prof = rippled_duct()
+        v = np.linspace(0.0, prof.x_max, 301)
+        pchip = PchipInterpolator(prof.x_samples, prof.s_samples)
+        np.testing.assert_allclose(prof.area(v), pchip(v), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(prof.mu_x_over_mu(v),
+                                   pchip.derivative()(v) / (2.0 * pchip(v)),
+                                   rtol=1e-13, atol=1e-15)
