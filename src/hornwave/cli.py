@@ -222,7 +222,15 @@ class _TrackingParser(configparser.ConfigParser):
                 raise ConfigError(f"{path}: unknown section [{section}]")
 
 
-def _need(cp, section, key, cast=float):
+def _finite(raw):
+    """float(raw), which must be finite: nan and inf set nothing."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _need(cp, section, key, cast=_finite):
     if not cp.has_option(section, key):
         raise ConfigError(f"missing [{section}] {key}")
     raw = cp.get(section, key)
@@ -232,7 +240,7 @@ def _need(cp, section, key, cast=float):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {err}") from err
 
 
-def _opt(cp, section, key, default, cast=float):
+def _opt(cp, section, key, default, cast=_finite):
     if not cp.has_option(section, key):
         return default
     return _need(cp, section, key, cast)
@@ -250,8 +258,8 @@ def _in_domain(key, mapping, *args):
 def _float_list(raw):
     parts = raw.replace(",", " ").split()
     if not parts:
-        raise ConfigError("empty list")
-    return tuple(float(p) for p in parts)
+        raise ValueError("empty list")
+    return tuple(_finite(p) for p in parts)
 
 
 def _name_list(raw):
@@ -349,7 +357,9 @@ def _build_invariant(cp, params) -> InvariantSpec | None:
     return InvariantSpec(config=config, zeta=zeta, grid=grid, table=table)
 
 
-# (section, key, RunConfig field, cast): the settings a file may leave out
+# (section, key, RunConfig field, cast): the settings a file may leave out;
+# the tolerances are plain floats, since RunConfig rejects a non-finite
+# one whether it comes from the file or from a flag
 _RUN_SETTINGS = (
     ("run", "stations", "stations", _float_list),
     ("run", "outputs", "outputs", _name_list),
@@ -357,7 +367,7 @@ _RUN_SETTINGS = (
     ("run", "tol", "tol", float),
     ("run", "quad_rtol", "quad_rtol", float),
     ("run", "out", "out", str),
-    ("profile", "x_stop", "profile_x_stop", float),
+    ("profile", "x_stop", "profile_x_stop", _finite),
     ("profile", "x_count", "profile_x_count", int),
 )
 
@@ -379,10 +389,10 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
         raise ConfigError(f"{path}: {err}") from err
 
     a, nu = _need(cp, "params", "a"), _opt(cp, "params", "nu", 1.0)
-    if not 0.0 < nu < math.inf:
-        raise ConfigError(f"[params] nu = {nu:g} must be positive and finite")
-    if not 0.0 <= a < math.inf:
-        raise ConfigError(f"[params] a = {a:g} must be >= 0 and finite")
+    if nu <= 0.0:
+        raise ConfigError(f"[params] nu = {nu:g} must be positive")
+    if a < 0.0:
+        raise ConfigError(f"[params] a = {a:g} must be >= 0")
     params = PhysParams(a, nu)
     settings = {name: _need(cp, section, key, cast)
                 for section, key, name, cast in _RUN_SETTINGS

@@ -204,7 +204,7 @@ def _dormand_prince(rhs, y, end, rtol, atol, max_step):
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:   # a NaN step stalls too
                 # typical cause: a logarithmic downward escape, where W
                 # drifts to -inf too slowly to reach the |W| limit
                 raise HornWaveError(

@@ -178,90 +178,25 @@ class Profile:
 
 
 @dataclass(frozen=True)
-class ConstantProfile(Profile):
-    """Uniform duct: S = 1 identically, zeta coincides with x."""
-
-    def _area(self, x):
-        return np.ones(x.shape)
-
-    def _mu_x_over_mu(self, x):
-        return np.zeros(x.shape)
-
-    def _zeta_of_x(self, x):
-        return x.copy()
-
-    _x_of_zeta = _zeta_of_x
-
-
-@dataclass(frozen=True)
-class ExponentialProfile(Profile):
-    """Exponential horn: S(x) = exp(2*alpha*x), so mu/nu = exp(alpha*x)."""
-
-    alpha: float
-    zeta_open = True
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ConfigError("alpha must be finite")
-        object.__setattr__(self, "zeta_max",
-                           1.0 / self.alpha if self.alpha > 0 else math.inf)
-
-    def _area(self, x):
-        return np.exp(2.0 * self.alpha * x)
-
-    def _mu_x_over_mu(self, x):
-        return np.full(x.shape, self.alpha, dtype=float)
-
-    def _zeta_of_x(self, x):
-        a = self.alpha
-        return -np.expm1(-a * x) / a if a else x + 0.0
-
-    def _x_of_zeta(self, zeta):
-        a = self.alpha
-        return -np.log1p(-a * zeta) / a if a else zeta + 0.0
-
-
-@dataclass(frozen=True)
-class SphericalProfile(Profile):
-    """Conical duct: S(x) = (1 + x/R)**2.
-
-    R > 0 expands; R < 0 tapers and the domain stops short of the focal
-    point x = |R| where the section collapses.
-    """
-
-    radius: float
-    x_open = True
-
-    def __post_init__(self):
-        if self.radius == 0.0 or not math.isfinite(self.radius):
-            raise ConfigError("radius must be finite and nonzero")
-        if self.radius < 0:
-            object.__setattr__(self, "x_max", -self.radius)
-
-    def _area(self, x):
-        base = 1.0 + x / self.radius
-        return base * base
-
-    def _mu_x_over_mu(self, x):
-        return 1.0 / (self.radius + x)
-
-    def _zeta_of_x(self, x):
-        return self.radius * np.log1p(x / self.radius)
-
-    def _x_of_zeta(self, zeta):
-        out = self.radius * np.expm1(zeta / self.radius)
-        if np.any(out >= self.x_max):
-            raise DomainError("zeta maps beyond the profile domain")
-        return out
-
-
-@dataclass(frozen=True)
 class PowerLawProfile(Profile):
-    """Power-law duct S(x) = (1 + (M+beta1)*x/beta0)**(2M/(beta1+M)).
+    """Closed-form duct of the classified family with linear b, that is
+    beta2 = 0 and b(zeta) = beta0 + beta1*zeta.
 
-    This is the beta2 = 0 classified family in its original coordinate.
-    The degenerate direction beta1 = -M is the exponential horn; use
-    :class:`ExponentialProfile` for it.
+    With p = M/beta0, r = beta1/beta0 and c = p + r the area is
+    S(x) = (1 + c*x)**(2p/c), or exp(2p*x) where c = 0.  The stretched
+    coordinate is zeta = expm1(r*g)/r with g = log1p(c*x)/c, each quotient
+    read as its limit (g = x, zeta = g) where its rate is 0, and x(zeta)
+    swaps c and r.  The domain ends where a log1p argument reaches -1:
+    x_max = -1/c if c < 0 and zeta_max = -1/r if r < 0, both open.  The
+    constant duct (M = 0), the exponential horn (beta1 = -M) and the cone
+    (beta1 = 0, |M| = 1) are corners of the family; see
+    :func:`ConstantProfile`, :func:`ExponentialProfile` and
+    :func:`SphericalProfile`.
+
+    Each map branches on the scalars c and r alone.  The x side divides
+    by the length 1/c = beta0/(M + beta1), a cone's radius exactly; x over
+    it stays above -1 for every x below x_max, so only zeta needs a check
+    for rounding onto its open end.
     """
 
     beta0: float
@@ -270,45 +205,70 @@ class PowerLawProfile(Profile):
     x_open = zeta_open = True
 
     def __post_init__(self):
-        if self.beta0 <= 0:
-            raise ConfigError("beta0 must be positive")
-        if self.m == 0:
-            raise ConfigError("M must be nonzero")
-        if self.m + self.beta1 == 0:
-            raise ConfigError(
-                "beta1 = -M degenerates to the exponential horn; "
-                "use ExponentialProfile")
-        c = (self.m + self.beta1) / self.beta0
-        object.__setattr__(self, "_c", c)
-        if c < 0:
-            object.__setattr__(self, "x_max", -1.0 / c)
-        if self.beta1 < 0:
-            object.__setattr__(self, "zeta_max", -self.beta0 / self.beta1)
-
-    def _base(self, x):
-        base = 1.0 + self._c * x
-        if np.any(base <= 0.0):
-            raise DomainError("power-law base reached zero inside the range")
-        return base
+        if not 0.0 < self.beta0 < math.inf:
+            raise ConfigError("beta0 must be positive and finite")
+        if not (math.isfinite(self.beta1) and math.isfinite(self.m)):
+            raise ConfigError("beta1 and M must be finite")
+        b0, b1, m = self.beta0, self.beta1, self.m
+        length = b0 / (m + b1) if m + b1 else math.inf
+        for name, value in (("betas", (b0, b1, 0.0, m)), ("_p", m / b0),
+                            ("_r", b1 / b0), ("_length", length)):
+            object.__setattr__(self, name, value)
+        if length < 0.0:
+            object.__setattr__(self, "x_max", -length)
+        if b1 < 0.0:
+            object.__setattr__(self, "zeta_max", -b0 / b1)
 
     def _area(self, x):
-        return self._base(x) ** (2.0 * self.m / (self.beta1 + self.m))
+        length = self._length
+        if length == math.inf:
+            return np.exp(2.0 * self._p * x)
+        power = 2.0 * self.m / (self.beta1 + self.m)
+        return (1.0 + x / length) ** power
 
     def _mu_x_over_mu(self, x):
         return self.m / (self.beta0 + (self.m + self.beta1) * x)
 
+    # at r = 0 the map copies, so the constant duct does not hand back
+    # the caller's array
     def _zeta_of_x(self, x):
-        base = self._base(x)
-        if self.beta1 == 0.0:
-            return (self.beta0 / self.m) * np.log(base)
-        q = self.beta1 / (self.m + self.beta1)
-        return (self.beta0 / self.beta1) * (base ** q - 1.0)
+        length, r = self._length, self._r
+        g = length * np.log1p(x / length) if length < math.inf else x
+        return np.expm1(r * g) / r if r else g + 0.0
 
     def _x_of_zeta(self, zeta):
-        if self.beta1 == 0.0:
-            return (np.exp(self.m * zeta / self.beta0) - 1.0) / self._c
-        inner = 1.0 + self.beta1 * zeta / self.beta0
-        return (inner ** ((self.m + self.beta1) / self.beta1) - 1.0) / self._c
+        length, r = self._length, self._r
+        rz = r * zeta
+        if r < 0.0 and np.any(rz <= -1.0):
+            raise DomainError("zeta rounds onto the open end zeta_max")
+        g = np.log1p(rz) / r if r else zeta + 0.0
+        out = length * np.expm1(g / length) if length < math.inf else g
+        if self.x_max < math.inf and np.any(out >= self.x_max):
+            raise DomainError("zeta maps beyond the profile domain")
+        return out
+
+
+def ConstantProfile() -> PowerLawProfile:
+    """Uniform duct: S = 1 identically, zeta coincides with x."""
+    return PowerLawProfile(1.0, 0.0, 0.0)
+
+
+def ExponentialProfile(alpha) -> PowerLawProfile:
+    """Exponential horn: S(x) = exp(2*alpha*x), so mu/nu = exp(alpha*x)."""
+    if not math.isfinite(alpha):
+        raise ConfigError("alpha must be finite")
+    return PowerLawProfile(1.0, -alpha, alpha)
+
+
+def SphericalProfile(radius) -> PowerLawProfile:
+    """Conical duct: S(x) = (1 + x/R)**2.
+
+    R > 0 expands; R < 0 tapers and the domain stops short of the focal
+    point x = |R| where the section collapses.
+    """
+    if radius == 0.0 or not math.isfinite(radius):
+        raise ConfigError("radius must be finite and nonzero")
+    return PowerLawProfile(abs(radius), 0.0, math.copysign(1.0, radius))
 
 
 class _TableMapProfile(Profile):
@@ -444,6 +404,8 @@ class TabulatedProfile(_TableMapProfile):
         s = np.asarray(self.s_samples, dtype=float)
         if x.ndim != 1 or x.shape != s.shape or x.size < 4:
             raise ConfigError("need matching 1-d x and S samples, at least 4 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
+            raise ConfigError("x and S samples must be finite")
         if np.any(np.diff(x) <= 0):
             raise ConfigError("x samples must be strictly increasing")
         if x[0] != 0.0:

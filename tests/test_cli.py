@@ -599,6 +599,60 @@ out = {tmp_path / 'data'}
         assert key in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("command, body, key", [
+        ("invariant", "[params]\na = 1\n[invariant]\nbeta0 = 1\nbeta1 = 1\n"
+         "m = -1\nc0 = nan\nzeta_start = 0\nzeta_stop = 0.4\n"
+         "zeta_count = 8\ngrid_n = 64\n[run]\n", "[invariant] c0"),
+        ("run", "[params]\na = 1\n[profile]\nkind = powerlaw\nbeta0 = nan\n"
+         "beta1 = 1\nm = 1\n[run]\nstations = 0.5\noutputs = q1\n"
+         "grid_n = 64\n", "[profile] beta0"),
+        ("run", "[params]\na = 1\n[profile]\nkind = powerlaw\nbeta0 = 1\n"
+         "beta1 = nan\nm = 1\n[run]\nstations = 0.5\noutputs = q1\n"
+         "grid_n = 64\n", "[profile] beta1"),
+        ("run", "[params]\na = 1\n[profile]\nkind = beta\nbeta0 = 1\n"
+         "beta1 = nan\nbeta2 = 0\nm = 1\n[run]\nstations = 0.5\n"
+         "outputs = q1\ngrid_n = 64\n", "[profile] beta1"),
+        ("run", "[params]\na = 1\n[initial]\namplitude = nan\n[run]\n"
+         "stations = 0.5\noutputs = q0\ngrid_n = 64\n", "[initial] amplitude"),
+        ("run", "[params]\na = 1\n[initial]\nphase = inf\n[run]\n"
+         "stations = 0.5\noutputs = q0\ngrid_n = 64\n", "[initial] phase"),
+        ("invariant", "[params]\na = 1\n[invariant]\nbeta0 = nan\nbeta1 = 1\n"
+         "m = -1\nc0 = -0.1\nzeta_start = 0\nzeta_stop = 0.4\n"
+         "zeta_count = 8\ngrid_n = 64\n[run]\n", "[invariant] beta0"),
+        ("run", "[params]\na = 1\n[run]\nstations = 0.5, -inf\n"
+         "outputs = q0\ngrid_n = 64\n", "[run] stations"),
+    ], ids=["c0-nan", "powerlaw-beta0-nan", "powerlaw-beta1-nan",
+            "beta-beta1-nan", "amplitude-nan", "phase-inf",
+            "invariant-beta0-nan", "station-minus-inf"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, body,
+                                       key):
+        # nan and inf are no setting: the loader names the key, before any
+        # numeric layer can fail on them with exit 3
+        path = write_config(tmp_path, body + f"out = {tmp_path / 'data'}\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert f"{key} = " in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_duct_sample_exits_2(self, tmp_path, capsys, bad):
+        duct = tmp_path / "duct.csv"
+        duct.write_text(f"x,area\n0,1\n0.5,0.9\n1,{bad}\n1.5,0.7\n2,0.6\n")
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[profile]
+kind = table
+path = {duct}
+[run]
+stations = 0.5
+outputs = q0
+grid_n = 64
+out = {tmp_path / 'data'}
+""")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "samples must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_default_station_is_checked_before_any_output(self, tmp_path,
                                                           capsys):
         # with no [run] stations line the run reads station 1, which lies at

@@ -2,8 +2,12 @@
 and field assembly, each checked against an independent route."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +302,24 @@ class TestFactorODE:
                               w0=0.0, w0_slope=1.0)
         with pytest.raises(HornWaveError, match="stalled"):
             integrate_factor_ode(cfg, 1.0, lambda_min=-1.5)
+
+    def test_nan_data_stalls_instead_of_spinning(self):
+        # a NaN step compares false against the minimum step, so a stall
+        # test written as h < min_step never fires and the reject loop
+        # spins; the child process turns such a hang into a failure
+        script = ("import math\n"
+                  "from hornwave.invariant import InvariantConfig, "
+                  "integrate_factor_ode\n"
+                  "from hornwave.rg import PhysParams\n"
+                  "cfg = InvariantConfig(betas=(1.0, 1.0, 0.0, -1.0), "
+                  "params=PhysParams(1.0, 1.0), w0=math.nan, w0_slope=0.0)\n"
+                  "integrate_factor_ode(cfg, 1.0)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode != 0
+        assert "HornWaveError: factor ODE stalled" in done.stderr
 
     def test_even_data_gives_even_solution(self):
         cfg = InvariantConfig(betas=(1.0, 0.0, 1.0, 1.0), params=UNIT,

@@ -378,6 +378,98 @@ class TestBetaFamilyProfile:
             P.BetaFamilyProfile(1.0, -2.5, 1.0, 1.0, zeta_cap=0.0)
 
 
+# the closed-form ducts of PROFILES, and the two corners PowerLawProfile
+# reaches through its general formulas: beta1 = -M (c = 0) and M = 0
+LINEAR_B = [prof for prof in PROFILES if isinstance(prof, P.PowerLawProfile)] + [
+    P.PowerLawProfile(1.0, 0.1, -0.1),
+    P.PowerLawProfile(2.0, 0.5, 0.0),
+]
+
+
+def _span(end, cap):
+    return min(0.9 * end, cap) if math.isfinite(end) else cap
+
+
+class TestLinearB:
+    """One closed form for every duct with b = beta0 + beta1 zeta."""
+
+    @pytest.mark.parametrize("prof", LINEAR_B, ids=repr)
+    def test_half_log_area_is_d_of_zeta(self, prof):
+        # the classification itself: ln(mu/nu) = d(zeta(x))
+        xs = np.linspace(0.0, _span(prof.x_max, 3.0), 41)
+        d = P.d_of_zeta(prof.betas, prof.zeta_of_x(xs))
+        np.testing.assert_allclose(0.5 * np.log(prof.area(xs)), d,
+                                   rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("prof", LINEAR_B, ids=repr)
+    def test_maps_match_the_table_backed_route(self, prof):
+        b0, b1, _, m = prof.betas
+        table = P.BetaFamilyProfile(b0, b1, 0.0, m)
+        xs = np.linspace(0.0, _span(min(prof.x_max, table.x_max), 3.0), 41)
+        zs = np.linspace(0.0, _span(min(prof.zeta_max, table.zeta_max), 3.0), 41)
+        for name, arg in (("area", xs), ("zeta_of_x", xs),
+                          ("mu_x_over_mu", xs), ("x_of_zeta", zs)):
+            np.testing.assert_allclose(getattr(prof, name)(arg),
+                                       getattr(table, name)(arg),
+                                       rtol=1e-10, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("prof", [P.ExponentialProfile(-0.1),
+                                      P.PowerLawProfile(1.0, 0.1, -0.1)],
+                             ids=["exponential", "powerlaw"])
+    def test_exponential_maps_are_bitwise_the_horn_formulas(self, prof):
+        # c = M + beta1 = 0 exactly, so the general class evaluates the
+        # horn's own expressions, rounding for rounding
+        alpha, xs = -0.1, np.linspace(0.0, 6.0, 97)
+        zs = prof.zeta_of_x(xs)
+        np.testing.assert_array_equal(prof.area(xs), np.exp(2.0 * alpha * xs))
+        np.testing.assert_array_equal(zs, -np.expm1(-alpha * xs) / alpha)
+        np.testing.assert_array_equal(prof.x_of_zeta(zs),
+                                      -np.log1p(-alpha * zs) / alpha)
+        np.testing.assert_array_equal(prof.mu_x_over_mu(xs),
+                                      np.full(xs.shape, alpha))
+
+    @pytest.mark.parametrize("make, betas", [
+        (P.ConstantProfile, (1.0, 0.0, 0.0, 0.0)),
+        (lambda: P.ExponentialProfile(0.25), (1.0, -0.25, 0.0, 0.25)),
+        (lambda: P.SphericalProfile(-4.0), (4.0, 0.0, 0.0, -1.0)),
+        (lambda: P.PowerLawProfile(2.0, -0.5, 1.5), (2.0, -0.5, 0.0, 1.5)),
+    ], ids=["constant", "exponential", "cone", "powerlaw"])
+    def test_constructors_carry_the_betas(self, make, betas):
+        prof = make()
+        assert isinstance(prof, P.PowerLawProfile) and prof.betas == betas
+
+    def test_constant_maps_return_a_new_array(self):
+        x = np.linspace(0.0, 1.0, 5)
+        prof = P.ConstantProfile()
+        assert prof.zeta_of_x(x) is not x and prof.x_of_zeta(x) is not x
+
+    def test_cone_ends_at_its_focal_point(self):
+        # x_max is -beta0/(M + beta1), which is |R| exactly, not -1/c
+        prof = P.SphericalProfile(-3.0)
+        assert prof.x_max == 3.0 and prof.zeta_max == math.inf
+        assert prof.area(math.nextafter(3.0, 0.0)) > 0.0
+        with pytest.raises(DomainError):
+            prof.x_of_zeta(200.0)   # x rounds onto the focal point
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 1.0, 1.0), "beta0"), ((math.inf, 1.0, 1.0), "beta0"),
+        ((math.nan, 1.0, 1.0), "beta0"), ((1.0, math.nan, 1.0), "finite"),
+        ((1.0, 1.0, -math.inf), "finite"),
+    ])
+    def test_rejects_non_finite_or_non_positive_betas(self, args, message):
+        with pytest.raises(ConfigError, match=message):
+            P.PowerLawProfile(*args)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: P.ExponentialProfile(math.nan), "alpha"),
+        (lambda: P.SphericalProfile(0.0), "radius"),
+        (lambda: P.SphericalProfile(-math.inf), "radius"),
+    ])
+    def test_constructors_keep_their_argument_checks(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+
 class TestTabulatedProfile:
     @staticmethod
     def _from_exponential(alpha=-0.1, hi=5.0, n=41):
@@ -399,6 +491,16 @@ class TestTabulatedProfile:
         with pytest.raises(ConfigError):
             P.TabulatedProfile(np.array([0.0, 1.0, 0.5, 2.0]),
                                np.array([1.0, 1.1, 1.2, 1.3]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", ["x", "S"])
+    def test_rejects_non_finite_samples(self, bad, column):
+        # NaN compares false in the order and sign checks, so it is
+        # rejected on its own
+        xs, s = np.linspace(0.0, 2.0, 5), np.linspace(1.0, 0.6, 5)
+        (xs if column == "x" else s)[3] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            P.TabulatedProfile(xs, s)
 
     def test_rejects_unnormalized_section(self):
         with pytest.raises(ConfigError):
