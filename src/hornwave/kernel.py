@@ -59,6 +59,7 @@ _NEGLIGIBLE_EXPONENT = 41.5   # exp(-41.5) ~ 1e-18: a factor below rounding
 # nu x = 5e-4) it measured 6e-8 at e^20 (a/nu = 10), within 4x of the direct
 # sum, 2e-4 at e^28 and 7e-2 at e^34, and K went negative at e^40.
 _FFT_RANGE_LIMIT = 1e9
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 def heat_kernel(x, tau, nu=1.0):
@@ -296,7 +297,9 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     The working grid and the signal exponential are built once.  On the
     spectral route each station then costs one spectral multiply; above the
     range limit each costs one direct sum, on a finer working grid where
-    the smoothing weights at x need one.
+    the smoothing weights at x need one.  A 1-D array of stations gives one
+    row per station, each bitwise the scalar station's; the spectral route
+    smooths them together.
     """
     _check_medium(a, nu)
     if not grid.periodic:
@@ -304,12 +307,24 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     fine, e = _signal_exponential(ic, a, nu, grid)
     spectral = _spectral_route(e)
     smooth = heat_smoother(e, fine, nu, spectral)
+    step = fine.n // grid.n
 
     def k_at(x):
+        if np.ndim(x) == 0:
+            return station(x)
+        # a negative station goes the per-station way, which names it
+        if spectral and not np.count_nonzero(x < 0.0):
+            return smooth(x)[:, ::step]
+        rows = np.empty((len(x), grid.n))
+        for row, xp in zip(rows, x):
+            row[:] = station(xp)
+        return rows
+
+    def station(x):
         _check_station(x)
         need = _weight_points(grid, nu, x)
         if spectral or need <= fine.n:
-            return smooth(x)[::fine.n // grid.n]
+            return smooth(x)[::step]
         fine_x, e_x = _signal_exponential(ic, a, nu, grid, need)
         return heat_smoother(e_x, fine_x, nu, False)(x)[::fine_x.n // grid.n]
 
@@ -373,25 +388,41 @@ def heat_smoother(f, grid: TauGrid, nu, spectral):
     error is a few eps max|f| everywhere.  The direct route sums f against
     the periodized Gaussian, each weight exact to rounding, so it keeps a
     nonnegative f to a few eps of itself at every point.
+
+    x may also be a 1-D array of stations; the result then has one row per
+    station, each bitwise the row a scalar x gives.  The spectral route
+    smooths them with one stacked exp and one irfft, the direct route one
+    sum at a time.  x = 0 is the delta limit, f itself.
     """
     kappa = grid.wavenumbers()
+    rate = -nu * kappa * kappa
     spec = np.fft.rfft(f) if spectral else None
     h, n = grid.period / grid.n, grid.n
     offsets = h * ((np.arange(n) + n // 2) % n - n // 2)   # in [-P/2, P/2)
 
     def smooth(x):
+        if np.ndim(x) == 0:
+            return station(x)
+        if spectral and np.count_nonzero(x) == len(x):
+            return np.fft.irfft(spec * np.exp(rate * x[:, None]), n=n)
+        return np.array([station(xp) for xp in x])
+
+    def station(x):
         if x == 0.0:
             return f.copy()                    # delta limit of the Gaussian
         if spectral:
-            return np.fft.irfft(spec * np.exp(-nu * kappa * kappa * x), n=n)
+            return np.fft.irfft(spec * np.exp(rate * x), n=n)
         # image m's exponent is at least m (m - 1) P^2 / (4 nu x) past the
         # nearest image's; it is dropped once that excess is negligible
         spread = 4.0 * nu * x
         m = int(0.5 + math.sqrt(0.25 + _NEGLIGIBLE_EXPONENT * spread
                                 / grid.period ** 2))
         images = offsets + grid.period * np.arange(-m, m + 1)[:, None]
-        weights = np.exp(-images * images / spread).sum(axis=0)
-        return _circular_convolve(f, weights * (h / math.sqrt(math.pi * spread)))
+        weights = (np.exp(-images * images / spread).sum(axis=0)
+                   * (h / math.sqrt(math.pi * spread)))
+        # subnormal weights slow the sum and add nothing to it
+        weights[weights < _SMALLEST_NORMAL] = 0.0
+        return _circular_convolve(f, weights)
 
     return smooth
 

@@ -33,6 +33,12 @@ from .profiles import Profile
 
 _QUAD_BASE_PANELS = 64
 _QUAD_MAX_DOUBLINGS = 4
+# Samples a chunk of path-integral nodes spans on the caller's grid.  A
+# chunk pays numpy's per-call overhead once; at n = 256 that overhead is
+# most of a node's cost, and chunks of 16 nodes cut q1 and qpt about 3x.
+# At n = 4096 a chunk is one node: chunks of two made qpt, whose arrays
+# span 2n, slower there.
+_PATH_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,12 @@ def first_order(params: PhysParams, profile: Profile, ic: InitialCondition,
     k_x = k_at(x)                       # checks the station
     mu = profile.mu(nu, x)
 
-    def node_field(xp, mu_p):
-        return _bracket(k_x if xp == x else k_at(xp), nu / mu_p)
+    def node_field(xps, mu_ps):
+        if xps[-1] == x:        # x' = x ends the first level: K is k_x
+            k = np.vstack((k_at(xps[:-1]), k_x))
+        else:
+            k = k_at(xps)
+        return _bracket(k, (nu / mu_ps)[:, None])
 
     correction = _convolved_path_integral(profile, node_field, x, grid, nu,
                                           rtol=quad_rtol)
@@ -153,8 +163,9 @@ def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
         return nu * base_a
     base_aa = heat_smoother(wn * wn, fine, nu, True)(x)[::2]
     tail = _convolved_path_integral(
-        profile, lambda xp, mu_p: (nu / mu_p) * k_a(xp)[::2] ** 2, x, grid, nu,
-        rtol=quad_rtol)
+        profile,
+        lambda xps, mu_ps: (nu / mu_ps)[:, None] * k_a(xps)[:, ::2] ** 2,
+        x, grid, nu, rtol=quad_rtol)
     half = base_aa - (nu / profile.mu(nu, x)) * base_a * base_a - tail
     return nu * base_a + 0.5 * nu * params.a * half
 
@@ -163,34 +174,43 @@ def _convolved_path_integral(profile: Profile, node_field, x, grid: TauGrid,
                              nu, *, rtol):
     """integral_0^x (mu_x/mu)(x') [G(x - x') * f(x', .)](tau) dx' on the grid.
 
-    f comes from node_field(x', mu(x')); the Gaussian acts as exact spectral
-    decay.  Five uniform blocks grade the mesh toward x' = x, where the
-    decay steepens for high modes.  Each level halves every panel of the
-    trapezoid sum in place, T_{h/2} = T_h/2 + (h/2) sum f(new midpoints), so
-    each node is evaluated once and the profile is asked once per level.
+    f comes from node_field(nodes, mu(nodes)), one row per node; the
+    Gaussian acts as exact spectral decay.  Five uniform blocks grade the
+    mesh toward x' = x, where the decay steepens for high modes.  Each level
+    halves every panel of the trapezoid sum in place,
+    T_{h/2} = T_h/2 + (h/2) sum f(new midpoints), so each node is evaluated
+    once and the profile is asked once per level.  A level's nodes go to
+    node_field in chunks of _PATH_SAMPLES // n, which share one rfft and
+    one decay product; their terms join the sum one by one, in node order.
     Simpson, (4 T_{h/2} - T_h)/3, is Richardson-checked and extrapolated.
     """
     if x == 0.0:
         return np.zeros(grid.n)
-    kappa2 = grid.wavenumbers() ** 2
+    rate = -nu * grid.wavenumbers() ** 2
     edges = np.array([0.0, 0.5, 0.75, 0.875, 0.9375, 1.0]) * x
     widths = np.diff(edges)
+    chunk = max(_PATH_SAMPLES // grid.n, 1)
 
     def mesh(count):   # `count` panels a block, without the node x' = x
         return (edges[:-1, None]
                 + np.arange(count) * (widths / count)[:, None]).ravel()
 
-    def node_sum(nodes, coeff):   # a running sum: no spectra are stacked
-        total = np.zeros(kappa2.size, dtype=complex)
+    def node_sum(nodes, coeff):
+        total = np.zeros(rate.size, dtype=complex)
         weights = coeff * profile.mu_x_over_mu(nodes)
-        for xp, c, mu_p in zip(nodes, weights, profile.mu(nu, nodes)):
-            field = node_field(xp, mu_p)
+        mus = profile.mu(nu, nodes)
+        for lo in range(0, nodes.size, chunk):
+            part = slice(lo, lo + chunk)
             with np.errstate(over="ignore", invalid="ignore"):
-                spec = np.fft.rfft(field)
-            if not np.all(np.isfinite(spec)):
+                spec = np.fft.rfft(node_field(nodes[part], mus[part]))
+            if not np.isfinite(spec).all():
+                bad = nodes[part][np.isfinite(spec).all(axis=1).argmin()]
                 raise RangeOverflowError(
-                    f"path integrand at x' = {xp:g} overflows the double range")
-            total += c * spec * np.exp(-nu * kappa2 * (x - xp))
+                    f"path integrand at x' = {bad:g} overflows the double "
+                    "range")
+            decay = np.exp(rate * (x - nodes[part, None]))
+            for term in weights[part, None] * spec * decay:
+                total += term
         return total
 
     panels = max(_QUAD_BASE_PANELS // widths.size, 4)

@@ -363,6 +363,50 @@ class TestSmoothingRoutes:
             got = kernel_module._circular_convolve(values, weights)
             assert np.array_equal(got, full)
 
+    def test_direct_weights_hold_no_subnormals(self):
+        # at n = 1024 and nu x = 0.001 the far weights underflow: 14 of
+        # them land below the smallest normal double, which slows the sum
+        # and adds nothing to it; flushed to 0, K is bitwise the full sum
+        grid, nux = TauGrid.periodic_default(1024), 1e-3
+        e = np.exp(50.0 * np.cos(grid.tau))
+        with counted_convolutions() as conv:
+            k = kernel_module.heat_smoother(e, grid, 1.0, False)(nux)
+        weights = conv.call_args.args[1]
+        tiny = np.finfo(float).tiny
+        assert not np.any((weights > 0.0) & (weights < tiny))
+        h, n, spread = grid.period / grid.n, grid.n, 4.0 * nux
+        offsets = h * ((np.arange(n) + n // 2) % n - n // 2)
+        images = offsets + grid.period * np.arange(-1, 2)[:, None]
+        full = (np.exp(-images * images / spread).sum(axis=0)
+                * (h / math.sqrt(math.pi * spread)))
+        assert np.count_nonzero((full > 0.0) & (full < tiny)) == 14
+        assert np.array_equal(k, kernel_module._circular_convolve(e, full))
+
+    @pytest.mark.parametrize("spectral", [True, False])
+    def test_smoother_rows_match_single_stations(self, spectral):
+        # an array of stations gives one row each, bitwise the scalar
+        # station's; x = 0 is the signal itself on both routes
+        f = np.exp(3.0 * np.cos(GRID.tau))
+        smooth = kernel_module.heat_smoother(f, GRID, 0.7, spectral)
+        xs = np.array([0.3, 0.0, 1e-3, 2.0])
+        rows = smooth(xs)
+        assert rows.shape == (xs.size, GRID.n)
+        for row, x in zip(rows, xs):
+            assert np.array_equal(row, smooth(x))
+        assert np.array_equal(rows[1], f)
+
+    @pytest.mark.parametrize("a_nu", [10.0, 50.0])
+    def test_k_evaluator_rows_match_single_stations(self, a_nu):
+        # 1e-4 needs a finer working grid on the direct route (a/nu = 50)
+        k_at = kernel_k(COS, a_nu, 1.0, GRID)
+        xs = np.array([0.0, 1e-4, 0.02, 0.7])
+        rows = k_at(xs)
+        assert rows.shape == (xs.size, GRID.n)
+        for row, x in zip(rows, xs):
+            assert np.array_equal(row, k_at(x))
+        with pytest.raises(DomainError, match="got -0.1"):
+            k_at(np.array([0.3, -0.1]))
+
     def test_k_evaluator_rejects_windowed_grid(self):
         with pytest.raises(ConfigError):
             kernel_k(COS, 1.0, 1.0, TauGrid.windowed(-1.0, 1.0, 17))

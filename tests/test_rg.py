@@ -65,11 +65,68 @@ def _reference_perturbative(params, profile, ic, x, grid):
 
     base_a = k_a(x)
     base_aa = kernel_module.heat_propagate(wn * wn, fine, nu, x)[::2]
-    tail = rg._convolved_path_integral(
-        profile, lambda xp, mu_p: (nu / mu_p) * k_a(xp) ** 2, x, grid, nu,
-        rtol=1e-6)
+
+    def node_field(xps, mu_ps):
+        return np.array([(nu / mu_p) * k_a(xp) ** 2
+                         for xp, mu_p in zip(xps, mu_ps)])
+
+    tail = rg._convolved_path_integral(profile, node_field, x, grid, nu,
+                                       rtol=1e-6)
     half = base_aa - (nu / profile.mu(nu, x)) * base_a * base_a - tail
     return nu * base_a + 0.5 * nu * params.a * half
+
+
+def _per_node_first_order(params, profile, ic, x, grid):
+    """q1 node by node: K from ``kernel_k``'s scalar evaluator, one bracket
+    and one spectrum a node.
+
+    Returns the path integral and q1, or the breakdown message in its
+    place.  ``first_order`` takes its nodes in chunks and must reproduce
+    both bit for bit.
+    """
+    nu = params.nu
+    k_at = kernel_module.kernel_k(ic, params.a, nu, grid)
+    k_x = k_at(x)
+
+    def node_field(xps, mu_ps):
+        return np.array([rg._bracket(k_x if xp == x else k_at(xp), nu / mu_p)
+                         for xp, mu_p in zip(xps, mu_ps)])
+
+    with mock.patch.object(rg, "_PATH_SAMPLES", 1):     # one node a chunk
+        correction = rg._convolved_path_integral(profile, node_field, x, grid,
+                                                 nu, rtol=1e-6)
+    try:
+        q1 = rg._log_field(params, profile.mu(nu, x), k_x, x, grid,
+                           "first-order", correction)
+    except BreakdownError as exc:
+        q1 = str(exc)
+    return correction, q1
+
+
+def _chunked_first_order(params, profile, ic, x, grid):
+    """``first_order``'s path integral and q1, or its breakdown message."""
+    corrections = []
+    log_field = rg._log_field
+
+    def recorded(*args):
+        corrections.append(args[-1])
+        return log_field(*args)
+
+    with mock.patch.object(rg, "_log_field", recorded):
+        try:
+            q1 = first_order(params, profile, ic, x, grid)
+        except BreakdownError as exc:
+            q1 = str(exc)
+    return corrections[0], q1
+
+
+def assert_same_first_order(got, ref):
+    (got_correction, got_q1), (ref_correction, ref_q1) = got, ref
+    assert got_correction.tobytes() == ref_correction.tobytes()
+    if isinstance(ref_q1, str):
+        assert got_q1 == ref_q1
+    else:
+        assert got_q1.tobytes() == ref_q1.tobytes()
 
 
 class TestPhysParams:
@@ -395,6 +452,82 @@ class TestSumsPastTheDoubleRange:
             with pytest.raises(RangeOverflowError, match="at x' = 0 "):
                 evaluate_station(PhysParams(10.0, 1.0), ConstantProfile(), ic,
                                  0.5, grid, fields=("q1",))
+
+    def test_first_non_finite_row_of_a_chunk_is_named(self):
+        # a chunk's spectra are checked together; the error names the first
+        # node in node order whose row is not finite, not the chunk
+        chunk = rg._PATH_SAMPLES // GRID.n
+        chunks = []
+
+        def node_field(xps, mu_ps):
+            chunks.append(xps.copy())
+            rows = np.ones((xps.size, GRID.n))
+            if len(chunks) == 2:
+                rows[3, 7], rows[5] = np.inf, np.nan
+            return rows
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflowError) as caught:
+                rg._convolved_path_integral(FLARE, node_field, 0.7, GRID, 1.0,
+                                            rtol=1e-6)
+        assert chunk > 5 and len(chunks) == 2 and chunks[1].size > 5
+        assert f"at x' = {chunks[1][3]:g} overflows" in str(caught.value)
+
+
+class TestChunkedNodes:
+    # first_order takes each level's nodes in chunks, and must give the
+    # bytes of the node-by-node sum it replaced
+
+    @pytest.mark.parametrize("samples", [256, 3 * 256, 7 * 256,
+                                         rg._PATH_SAMPLES, 1 << 20])
+    def test_spectral_route_matches_per_node(self, monkeypatch, samples):
+        # chunks of 1, 3, 7, the default and a whole level, at a/nu = 10;
+        # with one node a chunk, x' = x is a chunk of its own
+        params, x = PhysParams(10.0, 1.0), 0.7
+        level_sizes = []
+        profile_cls = type(FLARE)
+        mu = profile_cls.mu
+
+        def recorded_mu(self, nu, xs):
+            if np.ndim(xs):
+                level_sizes.append(np.size(xs))
+            return mu(self, nu, xs)
+
+        ref = _per_node_first_order(params, FLARE, COS, x, GRID)
+        monkeypatch.setattr(rg, "_PATH_SAMPLES", samples)
+        monkeypatch.setattr(profile_cls, "mu", recorded_mu)
+        got = _chunked_first_order(params, FLARE, COS, x, GRID)
+        assert_same_first_order(got, ref)
+        assert isinstance(got[1], np.ndarray)
+        chunk = samples // GRID.n
+        assert any(size % chunk for size in level_sizes) or chunk == 1
+
+    @pytest.mark.parametrize("a,nu,x,samples,refined", [
+        (50.0, 1.0, 0.2, rg._PATH_SAMPLES, False),
+        (50.0, 1.0, 0.2, 1, False),
+        (5.0, 0.1, 0.1, rg._PATH_SAMPLES, True)])
+    def test_direct_route_matches_per_node(self, monkeypatch, a, nu, x,
+                                           samples, refined):
+        # a/nu = 50 on n = 1024: one direct sum a node, also with one node
+        # a chunk.  At nu = 0.1 the node nearest x' = 0 needs a finer
+        # working grid than the signal's; there q1 breaks down, and its
+        # path integral and message must match
+        params, grid = PhysParams(a, nu), TauGrid.periodic_default(1024)
+        ref = _per_node_first_order(params, FLARE, COS, x, grid)
+        monkeypatch.setattr(rg, "_PATH_SAMPLES", samples)
+        builds = []
+        build = kernel_module._signal_exponential
+
+        def recorded(*args):
+            builds.append(args[4:])
+            return build(*args)
+
+        monkeypatch.setattr(kernel_module, "_signal_exponential", recorded)
+        got = _chunked_first_order(params, FLARE, COS, x, grid)
+        assert_same_first_order(got, ref)
+        assert any(builds) == refined
+        assert isinstance(got[1], str) == refined
 
 
 class TestPathIntegralNodes:
