@@ -6,7 +6,8 @@ per station plus a summary.  Subcommands are thin wrappers: ``analytic``
 and ``solve`` restrict the output set, ``fig1``/``fig1b``/``fig2`` bake
 in the published-figure configurations, ``invariant`` assembles the
 shape-preserving fields, ``profile`` tabulates a duct, and ``compare``
-reduces finished station files to relative-difference metrics.
+reduces finished station files to relative-difference metrics.  Every
+command runs on the calling thread and starts no other.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -17,7 +18,9 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# imported only for perfbench's tracer, which patches the name here;
+# nothing in this module calls it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar
@@ -166,7 +169,6 @@ class RunConfig:
     tol: float = 1e-8
     quad_rtol: float = 1e-6
     out: Path = Path("hornwave_out")
-    jobs: int = 1
     invariant: InvariantSpec | None = None
     profile_x_stop: float | None = None
     profile_x_count: int = 129
@@ -184,8 +186,6 @@ class RunConfig:
             if name not in _ALLOWED_OUTPUTS:
                 raise ConfigError(
                     f"unknown output {name!r}; pick from {_ALLOWED_OUTPUTS}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if not (0.0 < self.tol < math.inf and 0.0 < self.quad_rtol < math.inf):
             raise ConfigError("tolerances must be positive and finite")
         if self.grid_n is None:
@@ -377,7 +377,7 @@ def _given(**flags):
     return {key: value for key, value in flags.items() if value is not None}
 
 
-def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
+def load_config(path, *, out=None, tol=None) -> RunConfig:
     """Parse an INI-style run description; CLI flags override file values."""
     path = Path(path)
     if not path.is_file():
@@ -401,7 +401,7 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
         settings["profile"] = _build_profile(cp)
     if cp.has_section("initial"):
         settings["ic"] = _build_initial(cp)
-    settings.update(_given(jobs=jobs, out=out, tol=tol))
+    settings.update(_given(out=out, tol=tol))
     config = RunConfig(params=params, invariant=_build_invariant(cp, params),
                        **settings)
     if config.profile_x_stop is not None:
@@ -417,9 +417,9 @@ def load_config(path, *, jobs=None, out=None, tol=None) -> RunConfig:
 def run(config: RunConfig):
     """Compute the requested fields at every station and write the CSVs.
 
-    Closed-form fields evaluate station-by-station (parallel across
-    ``jobs``); the marched reference is one sweep through all stations.
-    Output bytes depend only on the config, never on the job count.
+    Closed-form fields evaluate station by station, one after another;
+    the marched reference is one sweep through all stations.  Output
+    bytes depend only on the config.
     """
     if "invariant" in config.outputs:
         raise ConfigError("the invariant field has its own subcommand")
@@ -442,20 +442,11 @@ def run(config: RunConfig):
     per_station = [{} for _ in x_stations]
 
     if analytic:
-        def one_station(x):
+        for bucket, x in zip(per_station, x_stations):
             sol = evaluate_station(config.params, config.profile, config.ic,
                                    x, grid, fields=tuple(analytic),
                                    quad_rtol=config.quad_rtol)
-            return {name: getattr(sol, name) for name in analytic}
-
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                futures = [pool.submit(one_station, x) for x in x_stations]
-                gathered = [f.result() for f in futures]
-        else:
-            gathered = [one_station(x) for x in x_stations]
-        for bucket, values in zip(per_station, gathered):
-            bucket.update(values)
+            bucket.update((name, getattr(sol, name)) for name in analytic)
 
     if want_march:
         solver_cfg = SolverConfig(tol=config.tol, stations=x_stations)
@@ -595,7 +586,7 @@ _FIG_PRESETS = {
 }
 
 
-def fig_config(name, *, out=None, jobs=None, tol=None) -> RunConfig:
+def fig_config(name, *, out=None, tol=None) -> RunConfig:
     preset = _FIG_PRESETS[name]
     return RunConfig(
         params=PhysParams(preset["a"], 1.0),
@@ -603,7 +594,7 @@ def fig_config(name, *, out=None, jobs=None, tol=None) -> RunConfig:
         stations=preset["stations"],
         outputs=preset["outputs"],
         out=out if out is not None else f"{name}_data",
-        **_given(jobs=jobs, tol=tol))
+        **_given(tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +608,17 @@ def _build_parser():
                     "shape-preserving solutions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, config=True, jobs=None, tol=False):
-        # only the flags the subcommand acts on; jobs is --jobs's help text
+    def add(name, help_text, *, config=True, jobs=False, tol=False):
+        # only the flags the subcommand acts on, and --jobs where it once
+        # set a worker count, so old command lines (perfbench's) still parse
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(jobs=None, tol=None)
+        cmd.set_defaults(tol=None)
         if config:
             cmd.add_argument("--config", type=Path, required=True,
                              help="INI-style run description")
         if jobs:
-            cmd.add_argument("--jobs", type=int, default=None, help=jobs)
+            cmd.add_argument("--jobs", type=int, metavar="N", help="ignored:"
+                             " every station runs on the calling thread")
         cmd.add_argument("--out", type=Path, default=None,
                          help="output directory override")
         if tol:
@@ -633,19 +626,17 @@ def _build_parser():
                              help="marching tolerance override")
         return cmd
 
-    workers = f"parallel station workers (default {RunConfig.jobs})"
     add("profile", "tabulate S, zeta, mu, and the log-gain")
-    add("run", "all configured outputs in one pass", jobs=workers, tol=True)
+    add("run", "all configured outputs in one pass", jobs=True, tol=True)
     add("analytic", "closed-form fields at the configured stations",
-        jobs=workers)
+        jobs=True)
     add("solve", "marched reference field at the configured stations",
         tol=True)
-    add("invariant", "assemble shape-preserving fields",
-        jobs="accepted and ignored: the assembly is one call")
+    add("invariant", "assemble shape-preserving fields", jobs=True)
     cmp_cmd = add("compare", "relative differences of two columns")
     cmp_cmd.add_argument("field_a", help="reference column")
     cmp_cmd.add_argument("field_b", help="column compared against it")
-    fig = dict(config=False, jobs=workers, tol=True)
+    fig = dict(config=False, jobs=True, tol=True)
     add("fig1", "signal decay, a/nu = 1 (writes data and comparison)", **fig)
     add("fig1b", "signal decay, a/nu = 10", **fig)
     add("fig2", "closed-form orders vs the march, a/nu = 10", **fig)
@@ -662,8 +653,7 @@ def _print_report(report: ComparisonReport):
 
 def _dispatch(args) -> int:
     if args.command in _FIG_PRESETS:
-        config = fig_config(args.command, out=args.out, jobs=args.jobs,
-                            tol=args.tol)
+        config = fig_config(args.command, out=args.out, tol=args.tol)
         written = run(config)
         print(f"wrote {len(written)} files to {config.out}")
         for ref in ("q0", "q1"):
@@ -671,8 +661,7 @@ def _dispatch(args) -> int:
                 _print_report(compare(config, ref, "qnum"))
         return 0
 
-    config = load_config(args.config, jobs=args.jobs, out=args.out,
-                         tol=args.tol)
+    config = load_config(args.config, out=args.out, tol=args.tol)
     if args.command == "profile":
         path = run_profile(config)
         print(f"wrote {path}")

@@ -29,6 +29,7 @@ from .profiles import _HermiteTable, classifying_b, d_of_zeta
 from .rg import PhysParams
 
 _BLOW_UP_LIMIT = 1e8
+_ODE_TOL = 1e-10           # factor ODE step tolerance, relative and absolute
 _ORBIT_SAMPLES = 4097      # theta samples across one half orbit
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving Ordinary
@@ -176,11 +177,11 @@ def _rms(v):
     return math.sqrt(v @ v) / math.sqrt(v.size)
 
 
-def _dormand_prince(rhs, y, end, rtol, atol, max_step):
+def _dormand_prince(rhs, y, end, max_step):
     """March ``y' = rhs(lam, y)`` from lam = 0 to ``end`` (either sign).
 
     scipy's RK45 step by step: its tableau, its RMS error norm scaled by
-    atol + rtol * max(|y_old|, |y_new|), its step controller and
+    _ODE_TOL (1 + max(|y_old|, |y_new|)), its step controller and
     initial-step rule, and ``max_step``.  Returns the dense output; |W|
     crossing the blow-up limit raises BlowUpError at the crossing, and a
     step below ten ulp of lam raises the "stalled" HornWaveError.
@@ -189,7 +190,7 @@ def _dormand_prince(rhs, y, end, rtol, atol, max_step):
     lam, f = 0.0, rhs(0.0, y)
 
     # initial step (Hairer, Norsett & Wanner, sec. II.4)
-    scale = atol + np.abs(y) * rtol
+    scale = _ODE_TOL + np.abs(y) * _ODE_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(end))
     d2 = _rms((rhs(sign * h0, y + sign * h0 * f) - f) / scale) / h0
@@ -221,7 +222,7 @@ def _dormand_prince(rhs, y, end, rtol, atol, max_step):
                                 y + (stages[:i].T @ _DP_A[i, :i]) * h)
             y_new = y + h * (stages[:6].T @ _DP_B)
             f_new = stages[6] = rhs(lam + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = _ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * _ODE_TOL
             err = _rms((stages.T @ _DP_E) * h / scale)
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0
@@ -258,7 +259,7 @@ def _crossing(step, inside, outside):
 
 
 def integrate_factor_ode(config: InvariantConfig, lambda_max, *,
-                         lambda_min=0.0, rtol=1e-10, atol=1e-10):
+                         lambda_min=0.0):
     """March the factor ODE out of lam = 0.
 
         nu W'' + a (W')^2 + (M + beta1) (lam/2) W' - M W
@@ -296,7 +297,7 @@ def integrate_factor_ode(config: InvariantConfig, lambda_max, *,
 
     ends = [lambda_max] + ([lambda_min] if lambda_min < 0 else [])
     branches = [_dormand_prince(rhs, np.array((float(w0), float(w0_slope))),
-                                float(end), rtol, atol, max_step)
+                                float(end), max_step)
                 for end in ends]
     backward = branches[1] if len(branches) > 1 else None
     return ShapeTable(float(lambda_min), float(lambda_max),
@@ -449,7 +450,7 @@ def nested_area_integral(betas, zeta):
     """
     d_end = np.atleast_1d(d_of_zeta(betas, zeta))[:, None]
     area = adaptive_quad(lambda y: np.expm1(d_of_zeta(betas, y) - d_end),
-                         0.0, zeta, rtol=1e-10) / -betas[3]
+                         0.0, zeta) / -betas[3]
     return area if np.ndim(zeta) else float(area)
 
 

@@ -20,9 +20,8 @@ itself.  Those weights are exact to rounding, so K keeps a few eps of its
 own size at every point, troughs included.  kernel_quadrature reads K at
 one station from that evaluator.
 
-The quadrature route computes K alone, plus dK/da at a = 0, where K is 1
-and dK/da is the heat smoothing of W/nu.  The amplitude derivatives at
-a > 0 come from kernel_series.
+The quadrature route computes K alone; the amplitude derivatives come
+from kernel_series.
 """
 
 from __future__ import annotations
@@ -253,8 +252,8 @@ def _resample_periodic(values, n_new):
 class KernelField:
     """K, dK/da, d2K/da2 on the caller's grid at the station it asked for.
 
-    kernel_series fills all three.  kernel_quadrature fills K, and dK/da
-    only at a = 0; the fields it does not compute are None.
+    kernel_series fills all three.  kernel_quadrature fills K only and
+    leaves the derivatives None.
     """
 
     k: np.ndarray
@@ -275,20 +274,9 @@ def _check_station(x):
 
 
 def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
-    """Kernel field at station x on a periodic grid: K, plus dK/da at a = 0.
-
-    At a > 0, K is the kernel_k evaluator's value at x, so the working grid
-    and the smoothing route are decided there alone, and the derivatives
-    are left to kernel_series.  At a = 0, K is 1 and dK/da is the heat
-    smoothing of W/nu on the caller's grid.
-    """
-    if a != 0.0:
-        return KernelField(k=kernel_k(ic, a, nu, grid)(x))
-    _check_medium(a, nu)
-    _check_station(x)
-    wn = ic.sample(grid) / nu
-    return KernelField(k=np.ones(grid.n),
-                       k_a=heat_smoother(wn, grid, nu, True)(x))
+    """K alone at station x on a periodic grid: the kernel_k evaluator's
+    value there (1 to rounding at a = 0); kernel_series has derivatives."""
+    return KernelField(k=kernel_k(ic, a, nu, grid)(x))
 
 
 def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
@@ -296,10 +284,10 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
 
     The working grid and the signal exponential are built once.  On the
     spectral route each station then costs one spectral multiply; above the
-    range limit each costs one direct sum, on a finer working grid where
-    the smoothing weights at x need one.  A 1-D array of stations gives one
-    row per station, each bitwise the scalar station's; the spectral route
-    smooths them together.
+    range limit each costs one direct sum, on a finer working grid, built
+    once, where the smoothing weights at x need one.  A 1-D array of
+    stations gives one row per station, each bitwise the scalar station's;
+    the spectral route smooths them together.
     """
     _check_medium(a, nu)
     if not grid.periodic:
@@ -308,6 +296,7 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     spectral = _spectral_route(e)
     smooth = heat_smoother(e, fine, nu, spectral)
     step = fine.n // grid.n
+    finer = {}      # start size -> (direct smoother, step) on a finer grid
 
     def k_at(x):
         if np.ndim(x) == 0:
@@ -325,8 +314,15 @@ def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
         need = _weight_points(grid, nu, x)
         if spectral or need <= fine.n:
             return smooth(x)[::step]
-        fine_x, e_x = _signal_exponential(ic, a, nu, grid, need)
-        return heat_smoother(e_x, fine_x, nu, False)(x)[::fine_x.n // grid.n]
+        start = grid.n      # the first doubling that reaches need sets it
+        while start < need:
+            start *= 2
+        if start not in finer:
+            fine_x, e_x = _signal_exponential(ic, a, nu, grid, start)
+            finer[start] = (heat_smoother(e_x, fine_x, nu, False),
+                            fine_x.n // grid.n)
+        smooth_x, step_x = finer[start]
+        return smooth_x(x)[::step_x]
 
     return k_at
 

@@ -13,7 +13,7 @@ integral in closed form, one formula for each sign of the discriminant of
 ``b``.
 
 Profiles are frozen dataclasses; any internal tables are built eagerly at
-construction so instances can be shared between threads read-only.
+construction, so an instance never changes after it is made.
 """
 
 from __future__ import annotations

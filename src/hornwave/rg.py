@@ -87,13 +87,21 @@ def _log_field(params, mu, k, x, grid, label, correction=0.0):
     return (mu / params.a) * np.log(arg)
 
 
+def _linear_field(ic: InitialCondition, nu, x, grid: TauGrid):
+    """The a = 0 limit of q0, q1 and qpt alike: nu K_a, with K_a the heat
+    smoothing of W/nu on the caller's grid, the linear heat solution."""
+    if x < 0.0:
+        raise DomainError(f"station must be >= 0, got {x:g}")
+    return nu * heat_smoother(ic.sample(grid) / nu, grid, nu, True)(x)
+
+
 def zero_order(params: PhysParams, profile: Profile, ic: InitialCondition,
                x, grid: TauGrid):
     """Leading-order field at station x, from K there."""
     x = float(x)
-    kernel = kernel_quadrature(ic, params.a, params.nu, x, grid)
     if params.a == 0.0:
-        return params.nu * kernel.k_a      # linear heat solution
+        return _linear_field(ic, params.nu, x, grid)
+    kernel = kernel_quadrature(ic, params.a, params.nu, x, grid)
     return _log_field(params, profile.mu(params.nu, x), kernel.k, x, grid,
                       "zero-order")
 
@@ -155,12 +163,12 @@ def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
         raise ConfigError("qpt needs a periodic grid: its path integral and "
                           "heat propagation are spectral, and this grid is "
                           "windowed")
+    if params.a == 0.0:
+        return _linear_field(ic, nu, x, grid)
     fine = grid.refined(2)
     wn = ic.sample(fine) / nu
     k_a = heat_smoother(wn, fine, nu, True)
     base_a = k_a(x)[::2]
-    if params.a == 0.0:
-        return nu * base_a
     base_aa = heat_smoother(wn * wn, fine, nu, True)(x)[::2]
     tail = _convolved_path_integral(
         profile,

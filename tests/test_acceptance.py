@@ -152,8 +152,7 @@ def test_c6_invariant_exactness():
     # symmetric-quadratic branch (linear term off), factor-ODE route
     betas = (1.0, 0.0, 1.0, 1.0)
     config = InvariantConfig(betas=betas, params=params, w0=0.3, w0_slope=0.0)
-    table = integrate_factor_ode(config, 0.9, lambda_min=-0.9, rtol=1e-12,
-                                 atol=1e-12)
+    table = integrate_factor_ode(config, 0.9, lambda_min=-0.9)
     for label, (n_tau, n_z) in (("coarse", (256, 64)), ("fine", (512, 128))):
         grid = TauGrid.windowed(-1.0, 1.0, n_tau)
         zetas = np.linspace(0.3, 0.8, n_z)

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` replaces functions under the names it looks them
 up by (``hornwave.kernel.adaptive_quad``, ``hornwave.cli.ThreadPoolExecutor``
 and others); a renamed or deleted hook makes it raise ``KeyError`` on
-entry.  Two of those names, ``adaptive_quad`` in ``hornwave.kernel`` and
-``hornwave.profiles``, are imported only for the tracer.
+entry.  Three of those names, ``adaptive_quad`` in ``hornwave.kernel`` and
+``hornwave.profiles`` and ``ThreadPoolExecutor`` in ``hornwave.cli``, are
+imported only for the tracer.
 ``perfbench/workloads.py`` passes command lines and config files the CLI
 must still parse, and ``perfbench/checks.py`` calls the kernel routes by
 name.
@@ -62,31 +63,39 @@ def test_tracer_patches_every_public_profile_map(monkeypatch):
     assert patched == maps
 
 
-# Imported by these modules only so that the tracer finds the name it
-# patches; the program itself never calls them.  Once the benchmark stops
-# patching one, delete its import.
-TRACER_ONLY_NAMES = (("hornwave.kernel", hornwave.kernel),
-                     ("hornwave.profiles", hornwave.profiles))
+# (module, attribute): imported by the module only so that the tracer
+# finds the name it patches; the program itself never calls them.  Once
+# the benchmark stops patching one, delete its import.
+TRACER_ONLY_NAMES = ((hornwave.kernel, "adaptive_quad"),
+                     (hornwave.profiles, "adaptive_quad"),
+                     (hornwave.cli, "ThreadPoolExecutor"))
 
 
-def test_names_kept_only_for_the_tracer(monkeypatch):
+def test_names_kept_only_for_the_tracer(monkeypatch, tmp_path):
     with _load_tracing(monkeypatch).Tracer(hornwave) as tracer:
         patched = {(owner, attr) for owner, attr, _ in tracer._patches}
-    for name, module in TRACER_ONLY_NAMES:
-        assert (module, "adaptive_quad") in patched, (
-            f"the tracer no longer patches {name}.adaptive_quad; "
-            f"delete its import from {name}")
+    for module, attr in TRACER_ONLY_NAMES:
+        assert (module, attr) in patched, (
+            f"the tracer no longer patches {module.__name__}.{attr}; "
+            f"delete its import from {module.__name__}")
 
     def no_call(*args, **kwargs):
         raise AssertionError("a tracer-only name was called")
 
-    for _, module in TRACER_ONLY_NAMES:
-        monkeypatch.setattr(module, "adaptive_quad", no_call)
+    for module, attr in TRACER_ONLY_NAMES:
+        monkeypatch.setattr(module, attr, no_call)
     signal = hornwave.InitialCondition.harmonic()
     grid = hornwave.TauGrid.periodic_default(64)
     for a in (0.0, 2.0):
         hornwave.kernel_quadrature(signal, a, 1.0, 0.5, grid)
     hornwave.BetaFamilyProfile(1.0, 0.5, 0.25, 0.8)
+    config = tmp_path / "run.ini"
+    config.write_text("[params]\na = 1.0\n[profile]\nkind = beta\n"
+                      "beta0 = 1.0\nbeta1 = 0.5\nbeta2 = 0.25\nm = 0.8\n"
+                      "[run]\nstations = 0.2, 0.5\noutputs = q0, q1, qpt\n"
+                      "grid_n = 64\n")
+    assert hornwave.cli.main(["run", "--config", str(config), "--out",
+                              str(tmp_path / "out"), "--jobs", "2"]) == 0
 
 
 def test_every_workload_command_line_parses(monkeypatch, tmp_path):
@@ -100,11 +109,9 @@ def test_every_workload_command_line_parses(monkeypatch, tmp_path):
             assert args.command == job.command
             # a setting the loader stopped reading raises ConfigError
             if job.config is None:
-                hornwave.cli.fig_config(job.command, out=job.out,
-                                        jobs=job.jobs)
+                hornwave.cli.fig_config(job.command, out=job.out)
             else:
-                hornwave.cli.load_config(job.config, out=job.out,
-                                         jobs=job.jobs)
+                hornwave.cli.load_config(job.config, out=job.out)
 
 
 def test_series_gap_check_runs(monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +98,9 @@ class TestConfigParsing:
 
     def test_flag_overrides(self, tmp_path):
         path = small_config(tmp_path)
-        config = load_config(path, out=tmp_path / "elsewhere", tol=1e-6,
-                             jobs=3)
+        config = load_config(path, out=tmp_path / "elsewhere", tol=1e-6)
         assert config.out == tmp_path / "elsewhere"
         assert config.tol == 1e-6
-        assert config.jobs == 3
 
     @pytest.mark.parametrize("section,line", [
         ("params", "nuu = 1.0"),
@@ -219,14 +218,37 @@ class TestCsvFormat:
 
 class TestDeterminism:
 
-    def test_rerun_and_jobs_do_not_change_bytes(self, tmp_path):
+    def test_rerun_and_jobs_do_not_change_bytes(self, tmp_path, capsys):
+        config = str(small_config(tmp_path))
         digests = []
-        for name, jobs in (("a", 1), ("b", 1), ("c", 2)):
+        for name, flags in (("a", []), ("b", []), ("c", []),
+                            ("d", ["--jobs", "2"])):
             out = tmp_path / name
-            config = load_config(small_config(tmp_path), out=out, jobs=jobs)
-            run(config)
+            assert main(["run", "--config", config, "--out", str(out)]
+                        + flags) == 0
             digests.append(tree_digest(out))
-        assert digests[0] == digests[1] == digests[2]
+        assert len(set(digests)) == 1
+
+    def test_jobs_starts_no_thread(self, tmp_path, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert main(["run", "--config", str(small_config(tmp_path)),
+                     "--jobs", "2"]) == 0
+        assert (tmp_path / "data" / "summary.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["run", "analytic", "invariant",
+                                         "fig1", "fig1b", "fig2"])
+    def test_jobs_is_parsed_as_an_int_and_dropped(self, command, capsys):
+        argv = [command] + ([] if command.startswith("fig")
+                            else ["--config", "run.ini"])
+        args = cli._build_parser().parse_args(argv + ["--jobs", "3"])
+        assert args.jobs == 3
+        with pytest.raises(SystemExit) as stop:
+            main(argv + ["--jobs", "two"])
+        assert stop.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -571,8 +571,7 @@ class TestAssembly:
         # betas (1, 0, 1, 1), a = 1: ODE shape plus correction bracket
         betas = (1.0, 0.0, 1.0, 1.0)
         cfg = InvariantConfig(betas=betas, params=UNIT, w0=0.3, w0_slope=0.0)
-        table = integrate_factor_ode(cfg, 0.9, lambda_min=-0.9,
-                                     rtol=1e-12, atol=1e-12)
+        table = integrate_factor_ode(cfg, 0.9, lambda_min=-0.9)
         grid = TauGrid.windowed(-1.0, 1.0, 256)
         zetas = np.linspace(0.3, 0.8, 64)
         fields = [assemble_invariant_q(cfg, z, grid, table) for z in zetas]

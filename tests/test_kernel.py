@@ -151,11 +151,10 @@ class TestKernelField:
         assert np.min(kf.k) == pytest.approx(1.0 / math.e, abs=1e-14)
 
     def test_unit_at_zero_amplitude(self):
+        # the a = 0 field, nu dK/da, is checked with q0, q1 and qpt in test_rg
         kf = kernel_quadrature(COS, 0.0, 1.0, 0.7, GRID)
         assert np.allclose(kf.k, 1.0, atol=1e-14)
-        # a = 0 derivatives are plain Gaussian smoothings of W and W^2
-        ref = heat_propagate(np.cos(GRID.tau), GRID, 1.0, 0.7)
-        assert np.allclose(kf.k_a, ref, atol=1e-14)
+        assert kf.k_a is None and kf.k_aa is None
 
     @pytest.mark.parametrize("a_nu,nux", [(1.0, 0.08), (1.0, 0.5), (1.0, 2.0),
                                           (10.0, 0.08), (10.0, 0.5), (10.0, 2.0)])
@@ -406,6 +405,26 @@ class TestSmoothingRoutes:
             assert np.array_equal(row, k_at(x))
         with pytest.raises(DomainError, match="got -0.1"):
             k_at(np.array([0.3, -0.1]))
+
+    def test_k_evaluator_builds_each_finer_grid_once(self):
+        # a/nu = 25 on n = 256 takes the direct route; these stations need
+        # 512, 1024 and 2048 samples, two stations each.  Every row is
+        # bitwise a fresh build's on the grid its weights need
+        grid, a, nu = TauGrid.periodic_default(256), 2.5, 0.1
+        xs = np.array([0.02, 0.01, 0.005, 0.004, 0.0015, 0.001])
+        build = kernel_module._signal_exponential
+        with mock.patch.object(kernel_module, "_signal_exponential",
+                               wraps=build) as spy:
+            k_at = kernel_k(COS, a, nu, grid)
+            rows = [k_at(x) for x in xs] + list(k_at(xs[::-1]))[::-1]
+        assert spy.call_count == 4
+        for x, row, again in zip(xs, rows, rows[xs.size:]):
+            need = kernel_module._weight_points(grid, nu, x)
+            fine, e = build(COS, a, nu, grid, need)
+            assert fine.n > grid.n
+            ref = kernel_module.heat_smoother(e, fine, nu, False)(x)
+            assert np.array_equal(row, ref[::fine.n // grid.n])
+            assert np.array_equal(again, row)
 
     def test_k_evaluator_rejects_windowed_grid(self):
         with pytest.raises(ConfigError):

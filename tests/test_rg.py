@@ -19,7 +19,8 @@ from hornwave import rg
 from hornwave.errors import (BreakdownError, ConfigError, DomainError,
                              RangeOverflowError)
 from hornwave.grid import TauGrid
-from hornwave.kernel import InitialCondition, bessel_i_sequence
+from hornwave.kernel import (InitialCondition, bessel_i_sequence,
+                             heat_propagate)
 from hornwave.profiles import ConstantProfile, ExponentialProfile
 from hornwave.rg import (
     PhysParams,
@@ -179,6 +180,14 @@ class TestConstantChannel:
         params = PhysParams(0.0, 1.0)
         q0 = zero_order(params, ConstantProfile(), COS, 0.5, GRID)
         assert np.max(np.abs(q0 - math.exp(-0.5) * np.cos(GRID.tau))) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [1.0, 0.6])
+    def test_zero_amplitude_fields_are_one_heat_smoothing(self, nu):
+        # at a = 0 every field is nu dK/da, the heat smoothing of W
+        sol = evaluate_station(PhysParams(0.0, nu), FLARE, COS, 0.7, GRID)
+        ref = heat_propagate(np.cos(GRID.tau), GRID, nu, 0.7)
+        assert np.allclose(sol.q0, ref, atol=1e-14)
+        assert sol.q0.tobytes() == sol.q1.tobytes() == sol.qpt.tobytes()
 
 
 def constant_duct_q0(a_nu, ic, x, grid):
@@ -587,3 +596,26 @@ class TestPathIntegralNodes:
         smoothed = np.count_nonzero((nodes > 0.0) & (nodes != x))
         assert smoothed > 0
         assert len(sums) == per_node * (smoothed + 1)
+
+    def test_finer_working_grids_built_once(self, monkeypatch):
+        # constant duct, a/nu = 25 on n = 256: the nodes nearest x' = 0 need
+        # more samples than the working grid, and each goes to the first
+        # doubling of the caller's grid that has them.  Before each size
+        # was built once, 210 nodes built the 512-point grid one by one
+        grid = TauGrid.periodic_default(256)
+        build = kernel_module._signal_exponential
+        starts = []
+
+        def recorded(ic, a, nu, caller, min_points=0.0):
+            start = caller.n
+            while start < min_points:
+                start *= 2
+            starts.append(start)
+            return build(ic, a, nu, caller, min_points)
+
+        monkeypatch.setattr(kernel_module, "_signal_exponential", recorded)
+        q1 = first_order(PhysParams(2.5, 0.1), ConstantProfile(), COS, 0.02,
+                         grid)
+        assert np.all(np.isfinite(q1))
+        assert starts[0] == grid.n and len(starts) > 2
+        assert len(starts) == len(set(starts))
