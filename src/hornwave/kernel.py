@@ -13,12 +13,16 @@ production code may use either.  Both need a periodic grid.
 
 The quadrature route has one path, kernel_k.  It builds e = exp(a W / nu)
 once on a working grid that resolves it, then smooths it with
-heat_smoother in one of two ways, chosen from e alone.  When
-e.max() / e.min() is at most _FFT_RANGE_LIMIT, it multiplies the spectrum
-by exp(-nu k^2 x).  Above that, it sums e against the periodized Gaussian
-itself.  Those weights are exact to rounding, so K keeps a few eps of its
-own size at every point, troughs included.  kernel_quadrature reads K at
-one station from that evaluator.
+heat_smoother, choosing the route station by station.  It first multiplies
+the spectrum by exp(-nu k^2 x), which rounds to a few eps max(e) at every
+point.  It keeps that K when max(e) is at most _FFT_RANGE_LIMIT times its
+smallest sample, so the error is at most about eps 1e9 of K anywhere.
+Otherwise it sums e against the periodized Gaussian itself.  Those weights
+are exact to rounding, so K keeps a few eps of its own size at every
+point, troughs included.  Heat smoothing only raises min K as x grows, so
+the direct sums fall near x = 0, and only for a signal whose e spans more
+than the limit: at x = 0, K is e and the rule is e's own range.
+kernel_quadrature reads K at one station from that evaluator.
 
 The quadrature route computes K alone; the amplitude derivatives come
 from kernel_series.
@@ -52,11 +56,12 @@ _SERIES_TAIL_RTOL = 1e-14
 _SPECTRUM_TAIL_RTOL = 1e-12
 _MAX_REFINEMENTS = 8
 _NEGLIGIBLE_EXPONENT = 41.5   # exp(-41.5) ~ 1e-18: a factor below rounding
-# Largest e.max() / e.min() the spectral smoothing takes.  Its error is a few
-# eps max(e) at every point, so relative to the smallest K it grows with the
-# range: against a 40-digit Bessel sum (harmonic signal, stations down to
-# nu x = 5e-4) it measured 6e-8 at e^20 (a/nu = 10), within 4x of the direct
-# sum, 2e-4 at e^28 and 7e-2 at e^34, and K went negative at e^40.
+# Largest max(e) / min K a spectral row of K may span, where e = exp(aW/nu).
+# The row's error is a few eps max(e) at every point, so relative to the
+# smallest K it grows with the span.  Against a 40-digit Bessel sum
+# (harmonic signal, a/nu = 15, 25 and 50) the worst error, at min K,
+# measured 2e-11 to 5e-11 where K spans 1e6, 2.0e-8 to 2.6e-8 at 1e9 and
+# 1.0e-5 to 2.3e-5 at 1e12: about a tenth of eps times the span.
 _FFT_RANGE_LIMIT = 1e9
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
@@ -282,46 +287,58 @@ def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
 def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     """K alone on a periodic grid, as the function x -> K(a, x, .).
 
-    The working grid and the signal exponential are built once.  On the
-    spectral route each station then costs one spectral multiply; above the
-    range limit each costs one direct sum, on a finer working grid, built
-    once, where the smoothing weights at x need one.  A 1-D array of
-    stations gives one row per station, each bitwise the scalar station's;
-    the spectral route smooths them together.
+    The working grid and the signal exponential are built once.  Each
+    station is smoothed spectrally, one spectral multiply, and the row is
+    kept when max(e) is at most _FFT_RANGE_LIMIT times its smallest sample
+    on the working grid; its error is then at most about eps 1e9 of K at
+    every point.  A row that fails is replaced by one direct sum, exact to
+    a few eps of K everywhere, on a finer working grid, built once, where
+    the smoothing weights at x need one.  A 1-D array of stations gives one
+    row per station, each bitwise the scalar station's: the stations are
+    smoothed together, and the rows that fail are summed one by one.
     """
     _check_medium(a, nu)
     if not grid.periodic:
         raise ConfigError("the K evaluator needs a periodic grid")
     fine, e = _signal_exponential(ic, a, nu, grid)
-    spectral = _spectral_route(e)
-    smooth = heat_smoother(e, fine, nu, spectral)
+    smooth = heat_smoother(e, fine, nu, True)
+    e_max = e.max()
     step = fine.n // grid.n
-    finer = {}      # start size -> (direct smoother, step) on a finer grid
+    direct = {}     # start size -> (direct smoother, step); 0: the working grid
 
     def k_at(x):
         if np.ndim(x) == 0:
             return station(x)
         # a negative station goes the per-station way, which names it
-        if spectral and not np.count_nonzero(x < 0.0):
-            return smooth(x)[:, ::step]
-        rows = np.empty((len(x), grid.n))
-        for row, xp in zip(rows, x):
-            row[:] = station(xp)
+        if np.count_nonzero(x < 0.0):
+            return np.array([station(xp) for xp in x])
+        rows = smooth(x)
+        passed = _spectral_route(e_max, rows)
+        rows = rows[:, ::step]
+        for i in np.flatnonzero(~passed):
+            rows[i] = direct_row(x[i])
         return rows
 
     def station(x):
         _check_station(x)
+        row = smooth(x)
+        if _spectral_route(e_max, row):
+            return row[::step]
+        return direct_row(x)
+
+    def direct_row(x):
         need = _weight_points(grid, nu, x)
-        if spectral or need <= fine.n:
-            return smooth(x)[::step]
-        start = grid.n      # the first doubling that reaches need sets it
-        while start < need:
-            start *= 2
-        if start not in finer:
-            fine_x, e_x = _signal_exponential(ic, a, nu, grid, start)
-            finer[start] = (heat_smoother(e_x, fine_x, nu, False),
-                            fine_x.n // grid.n)
-        smooth_x, step_x = finer[start]
+        start = 0
+        if need > fine.n:
+            start = grid.n      # the first doubling that reaches need sets it
+            while start < need:
+                start *= 2
+        if start not in direct:
+            fine_x, e_x = ((fine, e) if start == 0 else
+                           _signal_exponential(ic, a, nu, grid, start))
+            direct[start] = (heat_smoother(e_x, fine_x, nu, False),
+                             fine_x.n // grid.n)
+        smooth_x, step_x = direct[start]
         return smooth_x(x)[::step_x]
 
     return k_at
@@ -371,9 +388,13 @@ def _signal_exponential(ic, a, nu, grid, min_points=0.0):
         suggested_n=fine.n * 2)
 
 
-def _spectral_route(e):
-    """Whether e spans few enough decades for the spectral smoothing."""
-    return e.max() <= _FFT_RANGE_LIMIT * e.min()
+def _spectral_route(e_max, k):
+    """Whether each spectral row of K (along the last axis) has its minimum
+    within _FFT_RANGE_LIMIT of e_max = max(e).  A product, not a quotient,
+    so that a limit of 0 sends every row to the direct sum; where it
+    overflows, K is near the top of the double range and the row passes."""
+    with np.errstate(over="ignore"):
+        return e_max <= _FFT_RANGE_LIMIT * np.min(k, axis=-1)
 
 
 def heat_smoother(f, grid: TauGrid, nu, spectral):
@@ -381,9 +402,11 @@ def heat_smoother(f, grid: TauGrid, nu, spectral):
 
     The spectral route takes the spectrum of f once and multiplies it by
     exp(-nu kappa^2 x), the arithmetic of heat_propagate; its rounding
-    error is a few eps max|f| everywhere.  The direct route sums f against
-    the periodized Gaussian, each weight exact to rounding, so it keeps a
-    nonnegative f to a few eps of itself at every point.
+    error is a few eps max|f| everywhere, which kernel_k accepts station by
+    station only where the smoothed f stays within _FFT_RANGE_LIMIT of
+    max|f|.  The direct route sums f against the periodized Gaussian, each
+    weight exact to rounding, so it keeps a nonnegative f to a few eps of
+    itself at every point.
 
     x may also be a 1-D array of stations; the result then has one row per
     station, each bitwise the row a scalar x gives.  The spectral route

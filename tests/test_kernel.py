@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ive
 
 from hornwave import kernel as kernel_module
@@ -252,8 +253,10 @@ DENSE = TauGrid.periodic_default(4096).tau
 
 
 @st.composite
-def spectral_signals(draw):
-    """(signal, a, max W) at nu = 1 with exp(a W) spanning at most the limit.
+def spectral_signals(draw, lo=0.05, hi=0.98):
+    """(signal, a, max W) at nu = 1 with exp(a W) spanning e^{s R}, where
+    R = log(_FFT_RANGE_LIMIT) and s is drawn from [lo, hi]: by default at
+    most the limit.
 
     Either a harmonic or a table of up to four random cosine modes on GRID;
     a is scaled from the span of W on a dense grid, which bounds the span on
@@ -275,7 +278,7 @@ def spectral_signals(draw):
         ic = InitialCondition.tabulated(w(GRID.tau), GRID)
         dense = w(DENSE)
         w_max, span = dense.max(), dense.max() - dense.min()
-    a = draw(st.floats(0.05, 0.98)) * RANGE_EXPONENT / max(span, 1e-3)
+    a = draw(st.floats(lo, hi)) * RANGE_EXPONENT / max(span, 1e-3)
     return ic, a, w_max
 
 
@@ -298,6 +301,15 @@ def periodized_gaussian_k(ic, a, nux):
 def counted_convolutions():
     return mock.patch.object(kernel_module, "_circular_convolve",
                              wraps=kernel_module._circular_convolve)
+
+
+def station_spanning(a, span):
+    """nu x at which K of exp(a cos) spans max(e) / min K = span, from the
+    Bessel series at the trough tau = pi, a point of every working grid."""
+    def excess(nux):
+        trough = kernel_series(COS, a, 1.0, nux, GRID).k[GRID.n // 2]
+        return a - math.log(trough) - math.log(span)
+    return brentq(excess, 1e-3, 5.0, xtol=1e-14)
 
 
 class TestSmoothingRoutes:
@@ -327,11 +339,55 @@ class TestSmoothingRoutes:
 
     @pytest.mark.parametrize("scale,convolutions", [(0.99, 0), (1.01, 1)])
     def test_route_switches_at_the_limit(self, scale, convolutions):
-        # exp(a cos) spans e^{2a}: the limit sits at a = log(limit) / 2
+        # the rule is max(e) <= limit * min K, station by station.  At x = 0
+        # K is e, and exp(a cos) spans e^{2a}: the limit sits at
+        # a = log(limit) / 2.  The row there is e on either route, so the
+        # rule's verdict is what shows the switch
+        rule, verdicts = kernel_module._spectral_route, []
+
+        def recorded(e_max, k):
+            verdicts.append(bool(rule(e_max, k)))
+            return verdicts[-1]
+
         a = scale * 0.5 * RANGE_EXPONENT
+        with mock.patch.object(kernel_module, "_spectral_route", recorded):
+            k0 = kernel_k(COS, a, 1.0, GRID)(0.0)
+        assert verdicts == [scale < 1.0]
+        assert np.array_equal(k0, np.exp(a * np.cos(GRID.tau)))
+        # a/nu = 15, where e spans e^30, past the limit: at the station
+        # whose K spans `scale` times the limit, the spectral row is kept
+        # below it and replaced by one direct sum above it
+        a = 15.0
+        nux = station_spanning(a, scale * kernel_module._FFT_RANGE_LIMIT)
+        k_at = kernel_k(COS, a, 1.0, GRID)
         with counted_convolutions() as conv:
-            kernel_quadrature(COS, a, 1.0, 0.3, GRID)
+            k = k_at(nux)
         assert conv.call_count == convolutions
+        ref = periodized_gaussian_k(COS, a, nux)
+        assert np.all(np.abs(k - ref) <= ROUTE_GAP * math.exp(a))
+
+    @settings(max_examples=30)
+    @given(signal=spectral_signals(25.0 / RANGE_EXPONENT,
+                                   120.0 / RANGE_EXPONENT),
+           stations=st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=5))
+    def test_route_per_station_past_the_limit(self, signal, stations):
+        # e spans e^25 to e^120.  Each station keeps its spectral row while
+        # max(e) <= limit * min K, and heat smoothing only raises min K as
+        # x grows.  A kept row rounds to a few eps max(e); a replaced row is
+        # one direct sum, a few eps of K itself at every point
+        ic, a, w_max = signal
+        k_at = kernel_k(ic, a, 1.0, GRID)
+        spectral = []
+        for nux in sorted(stations):
+            with counted_convolutions() as conv:
+                k = k_at(nux)
+            ref = periodized_gaussian_k(ic, a, nux)
+            assert np.min(k) > 0.0
+            assert conv.call_count <= 1
+            spectral.append(conv.call_count == 0)
+            bound = math.exp(a * w_max) if spectral[-1] else ref
+            assert np.all(np.abs(k - ref) <= ROUTE_GAP * bound)
+        assert spectral == sorted(spectral)     # spectral from some x on
 
     @pytest.mark.parametrize("a_nu", [10.0, 50.0])
     def test_k_evaluator_matches_station_kernel(self, a_nu):

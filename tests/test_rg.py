@@ -568,10 +568,12 @@ class TestPathIntegralNodes:
         if field == "qpt":
             assert kernel_stations == []
 
-    @pytest.mark.parametrize("a_nu,per_node", [(10.0, 0), (50.0, 1)])
-    def test_direct_sums_per_node(self, monkeypatch, a_nu, per_node):
-        # the nodes read K alone: spectrally below the range limit of the
-        # signal exponential (e^20 here), by one direct sum above it (e^100)
+    @pytest.mark.parametrize("a_nu,some_direct", [(10.0, 0), (50.0, 1)])
+    def test_direct_sums_per_node(self, monkeypatch, a_nu, some_direct):
+        # each node's K is smoothed spectrally and kept while max(e) is at
+        # most the range limit times its smallest sample; one direct sum
+        # replaces each row that fails.  e spans e^20 at a/nu = 10, so no
+        # row fails; at a/nu = 50 (e^100) only rows near x' = 0 do
         grid, x = TauGrid.periodic_default(64), 0.5
         node_arrays, sums = [], []
         profile_cls = type(FLARE)
@@ -591,11 +593,37 @@ class TestPathIntegralNodes:
                             counted_convolve)
         first_order(PhysParams(a_nu, 1.0), FLARE, COS, x, grid)
         nodes = np.concatenate(node_arrays)
-        # x' = 0 is the delta limit, and x' = x reuses K at the station,
-        # which costs one more sum
-        smoothed = np.count_nonzero((nodes > 0.0) & (nodes != x))
-        assert smoothed > 0
-        assert len(sums) == per_node * (smoothed + 1)
+        # x' = 0 is the delta limit, which sums nothing, and x' = x reuses
+        # K at the station, which is read once more
+        smoothed = np.append(nodes[(nodes > 0.0) & (nodes != x)], x)
+        fine, e = kernel_module._signal_exponential(COS, a_nu, 1.0, grid)
+        spectral = kernel_module.heat_smoother(e, fine, 1.0, True)
+        limit = kernel_module._FFT_RANGE_LIMIT
+        failing = sum(e.max() > limit * spectral(xp).min() for xp in smoothed)
+        assert len(sums) == failing
+        assert (failing > 0) == bool(some_direct)
+        assert len(sums) < smoothed.size
+
+    def test_strong_coupling_matches_every_station_direct(self):
+        # the strong-coupling settings: e spans e^100, and most nodes of the
+        # path integral keep their spectral K.  Summing every station
+        # directly instead (a range limit of 0) moves q0 and q1 by rounding
+        grid, params = TauGrid.periodic_default(1024), PhysParams(50.0, 1.0)
+        for x in (0.2, 0.5, 1.0, 2.0):
+            fields = []
+            for limit in (kernel_module._FFT_RANGE_LIMIT, 0.0):
+                with (mock.patch.object(kernel_module, "_FFT_RANGE_LIMIT",
+                                        limit),
+                      mock.patch.object(kernel_module, "_circular_convolve",
+                                        wraps=kernel_module._circular_convolve)
+                      as conv):
+                    fields.append((zero_order(params, FLARE, COS, x, grid),
+                                   first_order(params, FLARE, COS, x, grid),
+                                   conv.call_count))
+            (q0, q1, sums), (q0_ref, q1_ref, sums_ref) = fields
+            assert sums < sums_ref
+            for q, ref in ((q0, q0_ref), (q1, q1_ref)):
+                assert np.max(np.abs(q - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_finer_working_grids_built_once(self, monkeypatch):
         # constant duct, a/nu = 25 on n = 256: the nodes nearest x' = 0 need
