@@ -564,7 +564,7 @@ def run_profile(config: RunConfig):
     xs = np.linspace(0.0, config.profile_x_stop, config.profile_x_count)
     area = np.asarray(config.profile.area(xs), dtype=float)
     zeta = np.asarray(config.profile.zeta_of_x(xs), dtype=float)
-    mu = config.params.nu * np.sqrt(area)
+    mu = config.profile.mu(config.params.nu, xs)
     d = 0.5 * np.log(area)
     return _write_csv(config.out / "profile.csv",
                       ["x", "area", "zeta", "mu", "d"],

@@ -12,17 +12,19 @@ series valid for a pure harmonic.  Tests compare them against each other;
 production code may use either.  Both need a periodic grid.
 
 The quadrature route has one path, kernel_k.  It builds e = exp(a W / nu)
-once on a working grid that resolves it, then smooths it with
-heat_smoother, choosing the route station by station.  It first multiplies
-the spectrum by exp(-nu k^2 x), which rounds to a few eps max(e) at every
-point.  It keeps that K when max(e) is at most _FFT_RANGE_LIMIT times its
-smallest sample, so the error is at most about eps 1e9 of K anywhere.
-Otherwise it sums e against the periodized Gaussian itself.  Those weights
-are exact to rounding, so K keeps a few eps of its own size at every
-point, troughs included.  Heat smoothing only raises min K as x grows, so
-the direct sums fall near x = 0, and only for a signal whose e spans more
-than the limit: at x = 0, K is e and the rule is e's own range.
-kernel_quadrature reads K at one station from that evaluator.
+once on a working grid that resolves it and smooths it with heat_smoother,
+which is spectral: it multiplies the spectrum by exp(-nu k^2 x), which
+rounds to a few eps max(e) at every point.  A station is a one-row call of
+the same path that smooths an array of stations.  Each row is kept when
+max(e) is at most _FFT_RANGE_LIMIT times its smallest sample, so the error
+is at most about eps 1e9 of K anywhere.  A row that fails is replaced by
+_direct_sum, which sums e against the periodized Gaussian at that one
+station.  Those weights are exact to rounding, so K keeps a few eps of its
+own size at every point, troughs included.  Heat smoothing only raises
+min K as x grows, so the direct sums fall near x = 0, and only for a
+signal whose e spans more than the limit; at x = 0, K is e itself on
+either route.  kernel_quadrature reads K at one station from that
+evaluator.
 
 The quadrature route computes K alone; the amplitude derivatives come
 from kernel_series.
@@ -227,25 +229,23 @@ class InitialCondition:
         if self.is_harmonic:
             return self.amplitude * np.cos(grid.tau - self.phase)
         src = self.grid
-        if grid == src:
-            return self.values.copy()
         if (not grid.periodic or grid.period != src.period
                 or grid.start != src.start or grid.n % src.n != 0):
             raise ConfigError(
                 "tabulated signal can only be resampled onto a refinement "
                 "of its own grid")
+        if grid.n == src.n:
+            return self.values.copy()
         return _resample_periodic(self.values, grid.n)
 
 
 def _resample_periodic(values, n_new):
+    """The band-limited interpolant of values on a finer grid, n_new > n."""
     n = values.size
-    if n_new == n:
-        return values.copy()
     spec = np.zeros(n_new // 2 + 1, dtype=complex)
     spec[:n // 2 + 1] = np.fft.rfft(values)
     # the old Nyquist bin folds +/- frequencies; as an interior bin keep half
-    if n_new > n:
-        spec[n // 2] *= 0.5
+    spec[n // 2] *= 0.5
     return np.fft.irfft(spec, n=n_new) * (n_new / n)
 
 
@@ -274,8 +274,11 @@ def _check_medium(a, nu):
 
 
 def _check_station(x):
-    if x < 0.0:
-        raise DomainError(f"station must be >= 0, got {x:g}")
+    """Name the first negative station of a scalar or an array."""
+    negative = np.less(x, 0.0)
+    if negative.any():
+        raise DomainError(
+            f"station must be >= 0, got {np.extract(negative, x)[0]:g}")
 
 
 def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
@@ -287,68 +290,53 @@ def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
 def kernel_k(ic: InitialCondition, a, nu, grid: TauGrid):
     """K alone on a periodic grid, as the function x -> K(a, x, .).
 
-    The working grid and the signal exponential are built once.  Each
-    station is smoothed spectrally, one spectral multiply, and the row is
-    kept when max(e) is at most _FFT_RANGE_LIMIT times its smallest sample
-    on the working grid; its error is then at most about eps 1e9 of K at
-    every point.  A row that fails is replaced by one direct sum, exact to
-    a few eps of K everywhere, on a finer working grid, built once, where
-    the smoothing weights at x need one.  A 1-D array of stations gives one
-    row per station, each bitwise the scalar station's: the stations are
-    smoothed together, and the rows that fail are summed one by one.
+    The working grid and the signal exponential e are built once.  x is a
+    station or a 1-D array of them, one row each; a station is a one-row
+    call.  The stations are smoothed together by one spectral multiply,
+    and a row is kept when max(e) is at most _FFT_RANGE_LIMIT times its
+    smallest sample on the working grid; its error is then at most about
+    eps 1e9 of K at every point.  A row that fails at x > 0 is replaced by
+    one direct sum, exact to a few eps of K everywhere, on a finer working
+    grid, built once, where the smoothing weights at x need one.  At x = 0
+    the row is e itself on either route.
     """
     _check_medium(a, nu)
     if not grid.periodic:
         raise ConfigError("the K evaluator needs a periodic grid")
     fine, e = _signal_exponential(ic, a, nu, grid)
-    smooth = heat_smoother(e, fine, nu, True)
+    smooth = heat_smoother(e, fine, nu)
     e_max = e.max()
     step = fine.n // grid.n
-    direct = {}     # start size -> (direct smoother, step); 0: the working grid
+    direct = {fine.n: (fine, e)}    # start size -> (working grid, e)
 
     def k_at(x):
-        if np.ndim(x) == 0:
-            return station(x)
-        # a negative station goes the per-station way, which names it
-        if np.count_nonzero(x < 0.0):
-            return np.array([station(xp) for xp in x])
-        rows = smooth(x)
-        passed = _spectral_route(e_max, rows)
+        xs = np.atleast_1d(x)
+        _check_station(xs)
+        rows = smooth(xs)
+        failed = ~_spectral_route(e_max, rows) & (xs > 0.0)
         rows = rows[:, ::step]
-        for i in np.flatnonzero(~passed):
-            rows[i] = direct_row(x[i])
-        return rows
-
-    def station(x):
-        _check_station(x)
-        row = smooth(x)
-        if _spectral_route(e_max, row):
-            return row[::step]
-        return direct_row(x)
+        for i in np.flatnonzero(failed):
+            rows[i] = direct_row(xs[i])
+        return rows if np.ndim(x) else rows[0]
 
     def direct_row(x):
         need = _weight_points(grid, nu, x)
-        start = 0
+        start = fine.n
         if need > fine.n:
             start = grid.n      # the first doubling that reaches need sets it
             while start < need:
                 start *= 2
         if start not in direct:
-            fine_x, e_x = ((fine, e) if start == 0 else
-                           _signal_exponential(ic, a, nu, grid, start))
-            direct[start] = (heat_smoother(e_x, fine_x, nu, False),
-                             fine_x.n // grid.n)
-        smooth_x, step_x = direct[start]
-        return smooth_x(x)[::step_x]
+            direct[start] = _signal_exponential(ic, a, nu, grid, start)
+        fine_x, e_x = direct[start]
+        return _direct_sum(e_x, fine_x, nu, x)[::fine_x.n // grid.n]
 
     return k_at
 
 
 def _weight_points(grid, nu, x):
     """Samples the direct sum needs at station x: the modes past Nyquist
-    must have exp(-nu kappa^2 x) below rounding."""
-    if x == 0.0:
-        return 0.0
+    must have exp(-nu kappa^2 x) below rounding.  x > 0."""
     return (grid.period / math.pi) * math.sqrt(_NEGLIGIBLE_EXPONENT / (nu * x))
 
 
@@ -397,53 +385,46 @@ def _spectral_route(e_max, k):
         return e_max <= _FFT_RANGE_LIMIT * np.min(k, axis=-1)
 
 
-def heat_smoother(f, grid: TauGrid, nu, spectral):
-    """x -> G(x) * f, heat smoothing of periodic samples on a grid.
+def heat_smoother(f, grid: TauGrid, nu):
+    """x -> G(x) * f, spectral heat smoothing of periodic samples on a grid.
 
-    The spectral route takes the spectrum of f once and multiplies it by
-    exp(-nu kappa^2 x), the arithmetic of heat_propagate; its rounding
-    error is a few eps max|f| everywhere, which kernel_k accepts station by
-    station only where the smoothed f stays within _FFT_RANGE_LIMIT of
-    max|f|.  The direct route sums f against the periodized Gaussian, each
-    weight exact to rounding, so it keeps a nonnegative f to a few eps of
-    itself at every point.
-
-    x may also be a 1-D array of stations; the result then has one row per
-    station, each bitwise the row a scalar x gives.  The spectral route
-    smooths them with one stacked exp and one irfft, the direct route one
-    sum at a time.  x = 0 is the delta limit, f itself.
+    The spectrum of f is taken once and multiplied by exp(-nu kappa^2 x),
+    the arithmetic of heat_propagate; the rounding error is a few eps max|f|
+    everywhere, which kernel_k accepts only where the smoothed f stays
+    within _FFT_RANGE_LIMIT of max|f|.  x is a station or a 1-D array of
+    them, one row each, from one stacked exp and one irfft; a station is a
+    one-row call.  x = 0 is the delta limit, f itself.
     """
     kappa = grid.wavenumbers()
     rate = -nu * kappa * kappa
-    spec = np.fft.rfft(f) if spectral else None
-    h, n = grid.period / grid.n, grid.n
-    offsets = h * ((np.arange(n) + n // 2) % n - n // 2)   # in [-P/2, P/2)
+    spec = np.fft.rfft(f)
 
     def smooth(x):
-        if np.ndim(x) == 0:
-            return station(x)
-        if spectral and np.count_nonzero(x) == len(x):
-            return np.fft.irfft(spec * np.exp(rate * x[:, None]), n=n)
-        return np.array([station(xp) for xp in x])
-
-    def station(x):
-        if x == 0.0:
-            return f.copy()                    # delta limit of the Gaussian
-        if spectral:
-            return np.fft.irfft(spec * np.exp(rate * x), n=n)
-        # image m's exponent is at least m (m - 1) P^2 / (4 nu x) past the
-        # nearest image's; it is dropped once that excess is negligible
-        spread = 4.0 * nu * x
-        m = int(0.5 + math.sqrt(0.25 + _NEGLIGIBLE_EXPONENT * spread
-                                / grid.period ** 2))
-        images = offsets + grid.period * np.arange(-m, m + 1)[:, None]
-        weights = (np.exp(-images * images / spread).sum(axis=0)
-                   * (h / math.sqrt(math.pi * spread)))
-        # subnormal weights slow the sum and add nothing to it
-        weights[weights < _SMALLEST_NORMAL] = 0.0
-        return _circular_convolve(f, weights)
+        xs = np.atleast_1d(x)
+        rows = np.fft.irfft(spec * np.exp(rate * xs[:, None]), n=grid.n)
+        rows[xs == 0.0] = f                     # delta limit of the Gaussian
+        return rows if np.ndim(x) else rows[0]
 
     return smooth
+
+
+def _direct_sum(f, grid: TauGrid, nu, x):
+    """G(x) * f at one station x > 0, summed against the periodized
+    Gaussian.  Each weight is exact to rounding, so a nonnegative f keeps
+    a few eps of itself at every point."""
+    h, n = grid.period / grid.n, grid.n
+    offsets = h * ((np.arange(n) + n // 2) % n - n // 2)   # in [-P/2, P/2)
+    # image m's exponent is at least m (m - 1) P^2 / (4 nu x) past the
+    # nearest image's; it is dropped once that excess is negligible
+    spread = 4.0 * nu * x
+    m = int(0.5 + math.sqrt(0.25 + _NEGLIGIBLE_EXPONENT * spread
+                            / grid.period ** 2))
+    images = offsets + grid.period * np.arange(-m, m + 1)[:, None]
+    weights = (np.exp(-images * images / spread).sum(axis=0)
+               * (h / math.sqrt(math.pi * spread)))
+    # subnormal weights slow the sum and add nothing to it
+    weights[weights < _SMALLEST_NORMAL] = 0.0
+    return _circular_convolve(f, weights)
 
 
 def _circular_convolve(values, weights):

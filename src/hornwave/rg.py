@@ -92,7 +92,7 @@ def _linear_field(ic: InitialCondition, nu, x, grid: TauGrid):
     smoothing of W/nu on the caller's grid, the linear heat solution."""
     if x < 0.0:
         raise DomainError(f"station must be >= 0, got {x:g}")
-    return nu * heat_smoother(ic.sample(grid) / nu, grid, nu, True)(x)
+    return nu * heat_smoother(ic.sample(grid) / nu, grid, nu)(x)
 
 
 def zero_order(params: PhysParams, profile: Profile, ic: InitialCondition,
@@ -167,9 +167,9 @@ def perturbative(params: PhysParams, profile: Profile, ic: InitialCondition,
         return _linear_field(ic, nu, x, grid)
     fine = grid.refined(2)
     wn = ic.sample(fine) / nu
-    k_a = heat_smoother(wn, fine, nu, True)
+    k_a = heat_smoother(wn, fine, nu)
     base_a = k_a(x)[::2]
-    base_aa = heat_smoother(wn * wn, fine, nu, True)(x)[::2]
+    base_aa = heat_smoother(wn * wn, fine, nu)(x)[::2]
     tail = _convolved_path_integral(
         profile,
         lambda xps, mu_ps: (nu / mu_ps)[:, None] * k_a(xps)[:, ::2] ** 2,

@@ -508,6 +508,41 @@ class TestSubcommands:
         assert main(["analytic", "--config", str(path)]) == 2
         assert "closed-form" in capsys.readouterr().err
 
+    def test_analytic_writes_only_the_closed_forms(self, tmp_path):
+        path = small_config(tmp_path, outputs="q1, qnum")
+        assert main(["analytic", "--config", str(path)]) == 0
+        for i in range(2):
+            header = (tmp_path / "data" / station_filename(i)
+                      ).read_text().splitlines()[0]
+            assert header == "tau,q1"
+
+    def test_compare_after_run(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path), "q1", "qnum"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for i, (line, nux) in enumerate(zip(lines, ("0.2", "0.5"))):
+            assert line.startswith(f"station {i} (nu x = {nux}): q1 vs qnum")
+        assert lines[-1].startswith("overall max-relative: ")
+        cols = read_field_table(tmp_path / "data"
+                                / "comparison_q1_vs_qnum.csv")
+        np.testing.assert_array_equal(cols["nu_x"], [0.2, 0.5])
+        # the missing column is named, and the command exits 2
+        assert main(["compare", "--config", str(path), "qpt", "qnum"]) == 2
+        assert "qpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("quad_rtol", "1e-17", "path integral did not converge"),
+        ("tol", "1e-300", "step size collapsed"),
+    ])
+    def test_unreachable_tolerance_exits_3(self, tmp_path, capsys, key,
+                                           value, message):
+        path = small_config(tmp_path, **{key: value})
+        assert main(["run", "--config", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_solve_writes_only_the_march(self, tmp_path):
         path = small_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 0

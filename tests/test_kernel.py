@@ -391,16 +391,23 @@ class TestSmoothingRoutes:
 
     @pytest.mark.parametrize("a_nu", [10.0, 50.0])
     def test_k_evaluator_matches_station_kernel(self, a_nu):
-        # one evaluator serves every station, on the spectral route
-        # (a/nu = 10) and the direct one (a/nu = 50) alike; the reference
-        # sums e against exact periodized Gaussian weights on the working
-        # grid, and at a/nu <= 10 the Bessel series checks it as well.  The
-        # direct route sums the same nonnegative terms, so it matches the
-        # reference at every point; the spectral route rounds to a few eps
-        # of max K.
+        # one evaluator serves every station.  At a/nu = 10, e spans e^20
+        # and every station keeps its spectral row.  At a/nu = 50, e spans
+        # e^100: nu x = 1e-4 and 0.02 fail the range rule and take one
+        # direct sum each, x = 0 is e itself, and by nu x = 0.7 heat
+        # smoothing has raised min K enough for the spectral row to pass.
+        # The reference sums e against exact periodized Gaussian weights on
+        # the working grid, and at a/nu <= 10 the Bessel series checks it as
+        # well.  A direct row sums the same nonnegative terms, so it
+        # matches the reference at every point; a spectral row rounds to a
+        # few eps of max K, and at a/nu = 50 the one at 0.7 meets the
+        # pointwise bound too.
+        convolutions = {10.0: (0, 0, 0, 0), 50.0: (0, 1, 1, 0)}[a_nu]
         k_at = kernel_k(COS, a_nu, 1.0, GRID)
-        for nux in (0.0, 1e-4, 0.02, 0.7):
-            got = k_at(nux)
+        for nux, count in zip((0.0, 1e-4, 0.02, 0.7), convolutions):
+            with counted_convolutions() as conv:
+                got = k_at(nux)
+            assert conv.call_count == count
             ref = periodized_gaussian_k(COS, a_nu, nux)
             bound = ROUTE_GAP * (ref if a_nu > 10.0 else np.max(ref))
             assert np.all(np.abs(got - ref) <= bound)
@@ -425,7 +432,7 @@ class TestSmoothingRoutes:
         grid, nux = TauGrid.periodic_default(1024), 1e-3
         e = np.exp(50.0 * np.cos(grid.tau))
         with counted_convolutions() as conv:
-            k = kernel_module.heat_smoother(e, grid, 1.0, False)(nux)
+            k = kernel_module._direct_sum(e, grid, 1.0, nux)
         weights = conv.call_args.args[1]
         tiny = np.finfo(float).tiny
         assert not np.any((weights > 0.0) & (weights < tiny))
@@ -437,12 +444,11 @@ class TestSmoothingRoutes:
         assert np.count_nonzero((full > 0.0) & (full < tiny)) == 14
         assert np.array_equal(k, kernel_module._circular_convolve(e, full))
 
-    @pytest.mark.parametrize("spectral", [True, False])
-    def test_smoother_rows_match_single_stations(self, spectral):
+    def test_smoother_rows_match_single_stations(self):
         # an array of stations gives one row each, bitwise the scalar
-        # station's; x = 0 is the signal itself on both routes
+        # station's; x = 0 is the signal itself
         f = np.exp(3.0 * np.cos(GRID.tau))
-        smooth = kernel_module.heat_smoother(f, GRID, 0.7, spectral)
+        smooth = kernel_module.heat_smoother(f, GRID, 0.7)
         xs = np.array([0.3, 0.0, 1e-3, 2.0])
         rows = smooth(xs)
         assert rows.shape == (xs.size, GRID.n)
@@ -478,7 +484,7 @@ class TestSmoothingRoutes:
             need = kernel_module._weight_points(grid, nu, x)
             fine, e = build(COS, a, nu, grid, need)
             assert fine.n > grid.n
-            ref = kernel_module.heat_smoother(e, fine, nu, False)(x)
+            ref = kernel_module._direct_sum(e, fine, nu, x)
             assert np.array_equal(row, ref[::fine.n // grid.n])
             assert np.array_equal(again, row)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hornwave import kernel as kernel_module
 from hornwave import rg
 from hornwave.errors import (BreakdownError, ConfigError, DomainError,
-                             RangeOverflowError)
+                             QuadratureError, RangeOverflowError)
 from hornwave.grid import TauGrid
 from hornwave.kernel import (InitialCondition, bessel_i_sequence,
                              heat_propagate)
@@ -597,7 +597,7 @@ class TestPathIntegralNodes:
         # K at the station, which is read once more
         smoothed = np.append(nodes[(nodes > 0.0) & (nodes != x)], x)
         fine, e = kernel_module._signal_exponential(COS, a_nu, 1.0, grid)
-        spectral = kernel_module.heat_smoother(e, fine, 1.0, True)
+        spectral = kernel_module.heat_smoother(e, fine, 1.0)
         limit = kernel_module._FFT_RANGE_LIMIT
         failing = sum(e.max() > limit * spectral(xp).min() for xp in smoothed)
         assert len(sums) == failing
@@ -647,3 +647,14 @@ class TestPathIntegralNodes:
         assert np.all(np.isfinite(q1))
         assert starts[0] == grid.n and len(starts) > 2
         assert len(starts) == len(set(starts))
+
+    def test_unreachable_target_raises_quadrature_error(self):
+        # Richardson's estimate stalls at rounding, near 5e-13 of the
+        # integral here, so a target of 1e-17 is never met: the error
+        # carries what the last doubling achieved and what was asked
+        with pytest.raises(QuadratureError,
+                           match="did not converge to 1e-17") as err:
+            first_order(PhysParams(1.0, 1.0), FLARE, COS, 1.0,
+                        TauGrid.periodic_default(64), quad_rtol=1e-17)
+        assert err.value.target == 1e-17
+        assert 1e-17 < err.value.achieved < 1e-10

@@ -194,6 +194,16 @@ class TestMarch:
                   SolverConfig(stations=(2.0,)))
         assert err.value.suggested_n == 512
 
+    def test_step_collapse_error(self):
+        # no step meets a tolerance of 1e-300, so the step shrinks below
+        # its floor at zeta = 0 and a doubled grid is suggested
+        with pytest.raises(ResolutionError,
+                           match="step size collapsed") as err:
+            solve(COS, PhysParams(1.0, 1.0), FLARE,
+                  TauGrid.periodic_default(64),
+                  SolverConfig(tol=1e-300, stations=(1.0,)))
+        assert err.value.suggested_n == 128
+
     @pytest.mark.parametrize("n, a, x_stop, form", [
         *((n, a, x, form) for form in "qu" for n, a, x in (
             (64, 10.0, 2.0), (256, 10.0, 0.5), (1024, 1.0, 2.0),
