@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 # imported only for perfbench's tracer, which patches the name here;
@@ -600,7 +601,9 @@ def fig_config(name, *, out=None, tol=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Entry point
 
+@functools.cache
 def _build_parser():
+    # built on the first call; parse_args fills a fresh namespace each time
     parser = argparse.ArgumentParser(
         prog="hornwave",
         description="Weakly nonlinear waves in variable-section ducts: "

@@ -23,10 +23,23 @@ A decay below exp(-708) = 3.3e-308, just above the smallest normal
 double, is stored as an exact zero: numpy's vectorized ``exp`` leaves
 its fast path for every result that underflows, and each product with
 a subnormal factor is slow again.  Such a decay is too small to move a
-stage sum of the field's own scale.  The dealiased nonlinear term reads
-and returns only the modes below the 2/3-rule cutoff, so the stage sums
-are carried on that band alone; only the proposal carries the modes
-above it, which decay and take no nonlinear forcing.
+stage sum of the field's own scale.  The smallest exponent of a step is
+that of the top mode across the whole step, so when it stays above the
+floor a plain ``exp`` gives the same bits as the masked one at about
+half the cost.  The dealiased nonlinear term reads and returns only the
+modes below the 2/3-rule cutoff, so the stage sums are carried on that
+band alone; only the proposal carries the modes above it, which decay
+and take no nonlinear forcing.
+
+A step is mostly numpy call overhead on arrays of n/3 modes, so
+``solve`` allocates its workspaces once a call: the stage spectra, the
+decays and weights, a term buffer, the zero-padded band and real
+samples the FFTs write into, and two error/proposal spectra used in
+turn, the accepted one holding the state.  Stage i stacks its terms,
+decay(0, i) state and h a_ij decay(j, i) n_j, and one reduce over the
+stack adds them in that order, so every step makes the same
+floating-point operations in the same order as a sum formed term by
+term.  The error sum works the same way.
 """
 
 from __future__ import annotations
@@ -56,17 +69,17 @@ _A = [
 _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
 
-# (j, i) stage pairs a step uses: (0, i) carries the state into stage i,
-# (j, i) each nonzero a_ij.  The nonzero error weights use pairs (j, 6)
-# from this list and (6, 6), whose decay is exactly 1.
-_PAIRS = [(j, i) for i in range(1, 7)
-          for j, aij in enumerate(_A[i]) if j == 0 or aij != 0.0]
+# (j, i) stage pairs a step uses, one for each nonzero a_ij.  a_i0 != 0 in
+# every stage, so pair (0, i) also carries the state into stage i, and the
+# pairs of a stage are consecutive rows.  The nonzero error weights below
+# j = 6 sit at the j of stage 6's pairs, the last rows, and the weight of
+# n_6 pairs with (6, 6), whose decay is exactly 1.
 _STAGE_J = [[j for j, aij in enumerate(row) if aij != 0.0] for row in _A]
-_A_ROWS = [_PAIRS.index((j, i)) for i in range(7) for j in _STAGE_J[i]]
-_A_COEF = np.array([_A[i][j] for i in range(7) for j in _STAGE_J[i]])
-_ERR_J = [j for j in range(6) if _ERR[j] != 0.0]
-_ERR_ROWS = [_PAIRS.index((j, 6)) for j in _ERR_J]
-_PAIR_J, _PAIR_I = np.array(_PAIRS).T
+_PAIRS = [(j, i) for i in range(1, 7) for j in _STAGE_J[i]]
+_A_COEF = np.array([[_A[i][j]] for j, i in _PAIRS])   # a column: a_ij
+_ERR_J = [j for j, ej in enumerate(_ERR) if ej != 0.0]
+_ERR_ROWS = slice(len(_PAIRS) - len(_STAGE_J[6]), len(_PAIRS))
+_PAIR_J, _PAIR_I = np.array(_PAIRS).T[:, :, None]     # columns, as _A_COEF
 _EXP_FLOOR = -708.0         # smaller decays are stored as exact zeros
 
 _SAFETY = 0.9
@@ -101,6 +114,8 @@ class SolverResult:
     fields: List[np.ndarray] = field(default_factory=list)
     steps: int = 0
     """Attempted steps: accepted plus rejected."""
+    rejected: int = 0
+    """Attempted steps whose error estimate exceeded the tolerance."""
 
 
 def spectral_derivative(values, grid: TauGrid):
@@ -113,26 +128,96 @@ def u_from_q(values, grid: TauGrid):
     return 2.0 * spectral_derivative(values, grid)
 
 
+def _runs(js):
+    """Runs of consecutive values in the increasing list js, as (lo, hi)."""
+    runs = []
+    for j in js:
+        if runs and runs[-1][1] == j:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1])
+    return runs
+
+
 def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
           grid: TauGrid, config: SolverConfig) -> SolverResult:
     kap = grid.wavenumbers()                  # ConfigError if windowed
     nk2 = -params.nu * (kap * kap)
-    m = kap.size - (grid.n // 2 - grid.n // 3)   # 2/3-rule band [0, m)
+    n_spec = kap.size
+    m = n_spec - (grid.n // 2 - grid.n // 3)   # 2/3-rule band [0, m)
     ik = (1j * kap)[:m]
     n_band = len(_PAIRS) * m
 
+    # workspaces every step writes in place
+    spectra = np.empty((7, n_spec), dtype=complex)   # stage nonlinear terms
+    terms = np.empty((len(_ERR_J), m), dtype=complex)
+    arg = np.empty(n_band + n_spec - m)
+    dec = np.empty_like(arg)
+    stage_w = np.empty((len(_PAIRS), m))
+    err_w = np.empty((len(_ERR_J), m))
+    err_w[-1] = _ERR[6]                  # n_6's decay(6, 6) is 1
+    err_coef = _ERR[_ERR_J[:-1]][:, None]
+    # error and proposal spectra, used in turn: the state is the proposal
+    # last accepted, and no write reaches the error row above the band
+    specs = np.zeros((2, 2, n_spec), dtype=complex)
+    vals = np.empty((2, grid.n))
+    # the nonlinear term's band and i k band, zero above the band, and its
+    # value, gradient and product samples
+    pad = np.zeros((2, n_spec), dtype=complex)
+    real = np.empty((3, grid.n))
+
+    # views of the workspaces, made once a call: a step costs mostly
+    # numpy's per-call overhead, and a view is one more call
+    nk2_band, nk2_tail = nk2[:m], nk2[m:]
+    band_arg, band_dec = (v[:n_band].reshape(-1, m) for v in (arg, dec))
+    tail_arg, tail_dec = arg[n_band:], dec[n_band:]
+    err_dec, err_w_dec = band_dec[_ERR_ROWS], err_w[:-1]
+    spec_views = [(spec, spec[0, :m], spec[1, :m], spec[1, m:])
+                  for spec in specs]
+
+    def products(weights, js, row):
+        # weights[q] n_js[q] into terms[row + q], one product per run of js
+        views, q = [], 0
+        for lo, hi in _runs(js):
+            views.append((weights[q:q + hi - lo], spectra[lo:hi, :m],
+                          terms[row + q:row + q + hi - lo]))
+            q += hi - lo
+        return views
+
+    stages = []
+    t = 0
+    for i in range(1, 7):
+        k = len(_STAGE_J[i])
+        stages.append((band_dec[t],
+                       products(stage_w[t:t + k], _STAGE_J[i], 1),
+                       terms[:k + 1], spectra[i]))
+        t += k
+    err_products = products(err_w, _ERR_J, 0)
+    lead_term, fsal_in, fsal_out = terms[0], spectra[0], spectra[6]
+    val_band, grad_spec, grad_band = pad[0, :m], pad[1], pad[1, :m]
+    val_grad, (value, grad, prod) = real[:2], real
+
     a = params.a
     if config.form == "q":
-        def nonlinear(band):
-            grad = np.fft.irfft(ik * band, n=grid.n)
-            return np.fft.rfft(a * grad * grad)[:m]
+        def nonlinear(band, out):
+            np.multiply(ik, band, out=grad_band)
+            np.fft.irfft(grad_spec, n=grid.n, out=grad)
+            np.multiply(grad, a, out=prod)
+            np.multiply(prod, grad, out=prod)
+            np.fft.rfft(prod, out=out)
     else:
-        def nonlinear(band):
-            vals, grad = np.fft.irfft(np.stack((band, ik * band)), n=grid.n)
-            return np.fft.rfft(a * vals * grad)[:m]
+        def nonlinear(band, out):
+            val_band[:] = band
+            np.multiply(ik, band, out=grad_band)
+            np.fft.irfft(pad, n=grid.n, out=val_grad)
+            np.multiply(value, a, out=prod)
+            np.multiply(prod, grad, out=prod)
+            np.fft.rfft(prod, out=out)
 
     w = ic.sample(grid)
-    state = np.fft.rfft(w if config.form == "q" else u_from_q(w, grid))
+    cur = 0
+    state = np.fft.rfft(w if config.form == "q" else u_from_q(w, grid),
+                        out=specs[1 - cur, 1])
 
     x_st = config.stations
     z_st = [float(profile.zeta_of_x(x)) for x in x_st]
@@ -148,8 +233,8 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
     h = min(1e-4 * max(span, 1.0), span / 100.0)
     h_floor = max(1e-13, 1e-11 * span)
     err_prev = 1.0
-    n_tail = nonlinear(state[:m])     # FSAL seed
-    steps = 0
+    nonlinear(state[:m], fsal_in)     # FSAL seed
+    steps = rejected = 0
 
     while nxt < len(z_st):
         if steps >= _MAX_STEPS:
@@ -165,52 +250,54 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
         zs[-1] = zeta + h
         xs = np.asarray(profile.x_of_zeta(zs), dtype=float)
 
-        # one exp: every stage pair on the band, then pair (0, 6) above it
-        arg = np.empty(n_band + nk2.size - m)
-        np.multiply(nk2[:m], (xs[_PAIR_I] - xs[_PAIR_J])[:, None],
-                    out=arg[:n_band].reshape(-1, m))
-        np.multiply(nk2[m:], xs[6] - xs[0], out=arg[n_band:])
-        dec = np.zeros_like(arg)
-        np.exp(arg, out=dec, where=arg >= _EXP_FLOOR)
-        band_dec, tail_dec = dec[:n_band].reshape(-1, m), dec[n_band:]
-        stage_w = (h * _A_COEF)[:, None] * band_dec[_A_ROWS]
-        err_w = _ERR[_ERR_J][:, None] * band_dec[_ERR_ROWS]
+        # every stage pair on the band, then pair (0, 6) above it.  x is
+        # monotone in zeta and k^2 largest last, so arg[-1] is the smallest
+        np.multiply(nk2_band, xs[_PAIR_I] - xs[_PAIR_J], out=band_arg)
+        np.multiply(nk2_tail, xs[6] - xs[0], out=tail_arg)
+        if arg[-1] >= _EXP_FLOOR:
+            np.exp(arg, out=dec)
+        else:
+            dec.fill(0.0)
+            np.exp(arg, out=dec, where=arg >= _EXP_FLOOR)
+        np.multiply(h * _A_COEF, band_dec, out=stage_w)
+        np.multiply(err_coef, err_dec, out=err_w_dec)
 
-        n_stage = [n_tail]
-        t = 0
-        for i in range(1, 7):
-            acc = band_dec[_A_ROWS[t]] * state[:m]   # pair (0, i): a_i0 != 0
-            for j in _STAGE_J[i]:
-                acc += stage_w[t] * n_stage[j]
-                t += 1
-            n_stage.append(nonlinear(acc))
+        # stage i: decay(0, i) state + sum_j h a_ij decay(j, i) n_j, added
+        # in that order by one reduce over the stacked terms; the proposal
+        # band is stage 6's sum
+        spec, err_band, band, tail = spec_views[cur]
+        _, _, state_band, state_tail = spec_views[1 - cur]
+        for lead, prods, stack, n_out in stages:
+            np.multiply(lead, state_band, out=lead_term)
+            for w_run, n_run, t_run in prods:
+                np.multiply(w_run, n_run, out=t_run)
+            np.add.reduce(stack, axis=0, out=band)
+            nonlinear(band, n_out)
+        np.multiply(tail_dec, state_tail, out=tail)
 
-        err_band = err_w[0] * n_stage[_ERR_J[0]]
-        for wt, j in zip(err_w[1:], _ERR_J[1:]):
-            err_band += wt * n_stage[j]
-        err_band += _ERR[6] * n_stage[6]
+        for w_run, n_run, t_run in err_products:
+            np.multiply(w_run, n_run, out=t_run)
+        np.add.reduce(terms, axis=0, out=err_band)
+        np.multiply(err_band, h, out=err_band)
 
-        # error and proposal spectra, inverted together
-        spec = np.zeros((2, nk2.size), dtype=complex)
-        spec[0, :m] = h * err_band
-        spec[1, :m] = acc
-        np.multiply(tail_dec, state[m:], out=spec[1, m:])
-        err_vals, proposal_vals = np.fft.irfft(spec, n=grid.n)
-        err = np.max(np.abs(err_vals))
-        scale = config.tol * (1.0 + np.max(np.abs(proposal_vals)))
+        err_vals, proposal_vals = np.fft.irfft(spec, n=grid.n, out=vals)
+        err = max(err_vals.max(), -err_vals.min())
+        scale = config.tol * (1.0 + max(proposal_vals.max(),
+                                        -proposal_vals.min()))
         ratio = err / scale
         steps += 1
 
         if ratio <= 1.0:
             zeta += h
-            state = spec[1]
-            n_tail = n_stage[6]
+            cur = 1 - cur
+            fsal_in[:] = fsal_out
             if hitting:
-                result_fields.append(proposal_vals)
+                result_fields.append(proposal_vals.copy())
                 nxt += 1
             fac = _SAFETY * max(ratio, 1e-10) ** -_PI_ALPHA * err_prev ** _PI_BETA
             err_prev = max(ratio, 1e-10)
         else:
+            rejected += 1
             fac = _SAFETY * ratio ** -_PI_ALPHA
         h *= min(_FAC_MAX, max(_FAC_MIN, fac))
         if h < h_floor:
@@ -221,7 +308,7 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
 
     return SolverResult(grid=grid, form=config.form,
                         x_stations=tuple(x_st), zeta_stations=tuple(z_st),
-                        fields=result_fields, steps=steps)
+                        fields=result_fields, steps=steps, rejected=rejected)
 
 
 def residual(fields, zetas, a, mu, grid: TauGrid, *, form="q"):

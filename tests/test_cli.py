@@ -96,6 +96,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="trumpet"):
             load_config(path)
 
+    def test_constant_duct_writes_the_flat_exponential_bytes(self,
+                                                              tmp_path):
+        written = []
+        for name, profile in (("constant", "kind = constant"),
+                              ("flat", "kind = exponential\nalpha = 0.0")):
+            out = tmp_path / name
+            path = write_config(tmp_path, f"""
+[params]
+a = 10.0
+[profile]
+{profile}
+[run]
+stations = 0.5, 1.0
+outputs = q0, q1, qpt, qnum
+grid_n = 64
+out = {out}
+""", name=f"{name}.ini")
+            assert main(["run", "--config", str(path)]) == 0
+            written.append([(out / station_filename(i)).read_bytes()
+                            for i in range(2)])
+        assert written[0][0].startswith(b"tau,q0,q1,qpt,qnum\n")
+        assert written[0] == written[1]
+
     def test_flag_overrides(self, tmp_path):
         path = small_config(tmp_path)
         config = load_config(path, out=tmp_path / "elsewhere", tol=1e-6)
@@ -532,6 +555,38 @@ class TestSubcommands:
         # the missing column is named, and the command exits 2
         assert main(["compare", "--config", str(path), "qpt", "qnum"]) == 2
         assert "qpt" in capsys.readouterr().err
+
+    def test_compare_of_a_zero_reference_divides_by_one(self, tmp_path,
+                                                        capsys):
+        # a zero signal stays zero in every field, so max |q1| is 0 and the
+        # differences are taken as they are
+        path = small_config(tmp_path)
+        with path.open("a") as f:
+            f.write("[initial]\nkind = harmonic\namplitude = 0.0\n")
+        assert main(["run", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path), "q1", "qnum"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for line in lines[:2]:
+            assert "max 0.000e+00" in line
+        assert lines[-1] == "overall max-relative: 0.000e+00"
+
+    def test_tol_flag_is_not_kept_by_the_next_call(self, tmp_path,
+                                                   monkeypatch):
+        tols = []
+        march = cli.solve
+
+        def recording(ic, params, profile, grid, config):
+            tols.append(config.tol)
+            return march(ic, params, profile, grid, config)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        path = str(small_config(tmp_path, outputs="qnum"))
+        assert main(["solve", "--config", path, "--tol", "1e-6"]) == 0
+        assert main(["solve", "--config", path]) == 0
+        assert tols == [1e-6, RunConfig.tol]
+        assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("key,value,message", [
         ("quad_rtol", "1e-17", "path integral did not converge"),

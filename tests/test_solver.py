@@ -9,12 +9,14 @@ from hornwave import solver
 from hornwave.errors import ConfigError, ResolutionError, SpacingError
 from hornwave.grid import TauGrid
 from hornwave.kernel import InitialCondition
-from hornwave.profiles import ConstantProfile, ExponentialProfile
+from hornwave.profiles import (BetaFamilyProfile, ConstantProfile,
+                               ExponentialProfile, TabulatedProfile)
 from hornwave.rg import PhysParams, zero_order
 from hornwave.solver import (
     _A,
     _C,
     _ERR,
+    _EXP_FLOOR,
     _FAC_MAX,
     _FAC_MIN,
     _MAX_STEPS,
@@ -33,6 +35,30 @@ COS = InitialCondition.harmonic()
 CHANNEL = ConstantProfile()
 FLARE = ExponentialProfile(-0.1)
 GRID = TauGrid.periodic_default(256)
+
+
+def _rippled_duct(count=65, x_stop=4.0):
+    """A tapering table duct with a smooth ripple and S(0) = 1."""
+    x = np.linspace(0.0, x_stop, count)
+    shift = 1.0
+    log_area = -0.2 * x + 0.03 * (np.sin(2.5 * x + shift) - math.sin(shift))
+    return TabulatedProfile(x, np.exp(log_area))
+
+
+class _RecordingDuct:
+    """Passes a profile's maps through and keeps each step's stage x."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.stage_x = []
+
+    def zeta_of_x(self, x):
+        return self.profile.zeta_of_x(x)
+
+    def x_of_zeta(self, zeta):
+        xs = self.profile.x_of_zeta(zeta)
+        self.stage_x.append(np.array(xs))
+        return xs
 
 
 def _reference_solve(ic, params, profile, grid, config):
@@ -75,7 +101,7 @@ def _reference_solve(ic, params, profile, grid, config):
     h_floor = max(1e-13, 1e-11 * span)
     err_prev = 1.0
     n_tail = nonlinear(state)     # FSAL seed
-    steps = 0
+    steps = rejected = 0
 
     while nxt < len(z_st):
         if steps >= _MAX_STEPS:
@@ -120,6 +146,7 @@ def _reference_solve(ic, params, profile, grid, config):
             fac = _SAFETY * max(ratio, 1e-10) ** -_PI_ALPHA * err_prev ** _PI_BETA
             err_prev = max(ratio, 1e-10)
         else:
+            rejected += 1
             fac = _SAFETY * ratio ** -_PI_ALPHA
         h *= min(_FAC_MAX, max(_FAC_MIN, fac))
         if h < h_floor:
@@ -130,7 +157,7 @@ def _reference_solve(ic, params, profile, grid, config):
 
     return SolverResult(grid=grid, form=config.form,
                         x_stations=tuple(x_st), zeta_stations=tuple(z_st),
-                        fields=result_fields, steps=steps)
+                        fields=result_fields, steps=steps, rejected=rejected)
 
 
 class TestConfig:
@@ -220,9 +247,51 @@ class TestMarch:
             args = (COS, PhysParams(a, 1.0), profile, grid, config)
             got, want = solve(*args), _reference_solve(*args)
             assert got.steps == want.steps
+            assert got.rejected == want.rejected
             assert len(got.fields) == len(want.fields) == 3
             for f_got, f_want in zip(got.fields, want.fields):
                 assert f_got.tobytes() == f_want.tobytes()
+
+    @pytest.mark.parametrize("n, a, x_stop, form", [
+        (64, 10.0, 2.0, "q"), (256, 10.0, 0.5, "q"), (1024, 1.0, 2.0, "q"),
+        (64, 10.0, 2.0, "u"), (1024, 1.0, 2.0, "u"), (64, 50.0, 1.0, "q")])
+    @pytest.mark.parametrize("duct", ["table", "beta"])
+    def test_matches_reference_march_on_table_ducts(self, n, a, x_stop,
+                                                    form, duct):
+        # ducts whose coordinate maps are tables, not formulas; a = 50
+        # rejects a step
+        profile = _RecordingDuct(
+            _rippled_duct() if duct == "table"
+            else BetaFamilyProfile(1.0, 0.0, 0.05, -0.1))
+        grid = TauGrid.periodic_default(n)
+        config = SolverConfig(tol=1e-6, stations=(0.0, x_stop / 2, x_stop),
+                              form=form)
+        args = (COS, PhysParams(a, 1.0), profile, grid, config)
+        got = solve(*args)
+        stage_x = list(profile.stage_x)
+        want = _reference_solve(*args)
+        assert (got.steps, got.rejected) == (want.steps, want.rejected)
+        assert len(got.fields) == len(want.fields) == 3
+        for f_got, f_want in zip(got.fields, want.fields):
+            assert f_got.tobytes() == f_want.tobytes()
+        # a = 1, n = 1024: short early steps take the plain exp, and long
+        # later ones the masked exp, whose decays underflow at the top
+        # of the band
+        smallest = [-(grid.n // 2) ** 2 * (xs[-1] - xs[0]) for xs in stage_x]
+        underflows = [e < _EXP_FLOOR for e in smallest]
+        assert len(underflows) == got.steps
+        if n == 1024:
+            assert 0 < sum(underflows) < got.steps
+
+    def test_station_fields_share_no_memory(self):
+        # the march writes every step into the same workspaces, so a
+        # station's field must be a copy of them
+        r = solve(COS, PhysParams(1.0, 1.0), FLARE,
+                  TauGrid.periodic_default(64),
+                  SolverConfig(stations=(0.0, 0.1, 0.2, 0.3)))
+        for i, f in enumerate(r.fields):
+            assert all(not np.shares_memory(f, g) for g in r.fields[i + 1:])
+        assert not np.array_equal(r.fields[2], r.fields[3])
 
     def test_windowed_grid_rejected(self):
         with pytest.raises(ConfigError, match="periodic grids only"):
