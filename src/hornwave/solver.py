@@ -33,13 +33,24 @@ and take no nonlinear forcing.
 
 A step is mostly numpy call overhead on arrays of n/3 modes, so
 ``solve`` allocates its workspaces once a call: the stage spectra, the
-decays and weights, a term buffer, the zero-padded band and real
-samples the FFTs write into, and two error/proposal spectra used in
-turn, the accepted one holding the state.  Stage i stacks its terms,
-decay(0, i) state and h a_ij decay(j, i) n_j, and one reduce over the
-stack adds them in that order, so every step makes the same
-floating-point operations in the same order as a sum formed term by
-term.  The error sum works the same way.
+decays and weights, a term buffer, the band and real samples the FFTs
+write into, and two error/proposal spectra used in turn, the accepted
+one holding the state.  Stage i stacks its terms, decay(0, i) state and
+h a_ij decay(j, i) n_j, and one reduce over the stack adds them in that
+order, so every step makes the same floating-point operations in the
+same order as a sum formed term by term.  The error sum works the same
+way.
+
+The step's 13 transforms call the pocketfft gufuncs that
+``np.fft.rfft`` and ``np.fft.irfft`` wrap, with the arguments the
+wrapper would pass (backward norm: a factor 1 forward and 1/n inverse),
+so they give the wrapper's bits.  At n = 256 the wrapper's Python layer
+costs about as much as the transform it calls.  A periodic grid has an
+even n, so the forward transform is always ``rfft_n_even``, and the
+inverse gufunc zero-fills a band shorter than n/2 + 1, so the 2/3-rule
+band goes in without padding.  The module is reached at call time as
+``np.fft._pocketfft_umath``: importing the package does not load
+``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -97,8 +108,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.form not in ("q", "u"):
             raise ConfigError(f"form must be 'q' or 'u', got {self.form!r}")
-        if self.tol <= 0.0:
-            raise ConfigError("marching tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError(
+                f"marching tolerance must be positive and finite, got {self.tol}")
         st = np.asarray(self.stations, dtype=float)
         if st.size == 0 or st[0] < 0.0 or np.any(np.diff(st) <= 0.0):
             raise ConfigError("stations must increase from 0")
@@ -161,9 +173,7 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
     # last accepted, and no write reaches the error row above the band
     specs = np.zeros((2, 2, n_spec), dtype=complex)
     vals = np.empty((2, grid.n))
-    # the nonlinear term's band and i k band, zero above the band, and its
-    # value, gradient and product samples
-    pad = np.zeros((2, n_spec), dtype=complex)
+    # the nonlinear term's value, gradient and product samples
     real = np.empty((3, grid.n))
 
     # views of the workspaces, made once a call: a step costs mostly
@@ -194,25 +204,35 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
         t += k
     err_products = products(err_w, _ERR_J, 0)
     lead_term, fsal_in, fsal_out = terms[0], spectra[0], spectra[6]
-    val_band, grad_spec, grad_band = pad[0, :m], pad[1], pad[1, :m]
+    err_vals, proposal_vals = vals
     val_grad, (value, grad, prod) = real[:2], real
+
+    # np.fft.rfft and np.fft.irfft's gufuncs, called as the wrapper would
+    pocketfft = np.fft._pocketfft_umath
+    rfft, irfft = pocketfft.rfft_n_even, pocketfft.irfft
+    inv_n = 1.0 / grid.n
 
     a = params.a
     if config.form == "q":
+        grad_band = np.empty(m, dtype=complex)
+
         def nonlinear(band, out):
             np.multiply(ik, band, out=grad_band)
-            np.fft.irfft(grad_spec, n=grid.n, out=grad)
+            irfft(grad_band, inv_n, out=grad)
             np.multiply(grad, a, out=prod)
             np.multiply(prod, grad, out=prod)
-            np.fft.rfft(prod, out=out)
+            rfft(prod, 1.0, out=out)
     else:
+        bands = np.empty((2, m), dtype=complex)   # value and i k bands
+        val_band, grad_band = bands
+
         def nonlinear(band, out):
             val_band[:] = band
             np.multiply(ik, band, out=grad_band)
-            np.fft.irfft(pad, n=grid.n, out=val_grad)
+            irfft(bands, inv_n, out=val_grad)
             np.multiply(value, a, out=prod)
             np.multiply(prod, grad, out=prod)
-            np.fft.rfft(prod, out=out)
+            rfft(prod, 1.0, out=out)
 
     w = ic.sample(grid)
     cur = 0
@@ -280,10 +300,10 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
         np.add.reduce(terms, axis=0, out=err_band)
         np.multiply(err_band, h, out=err_band)
 
-        err_vals, proposal_vals = np.fft.irfft(spec, n=grid.n, out=vals)
-        err = max(err_vals.max(), -err_vals.min())
-        scale = config.tol * (1.0 + max(proposal_vals.max(),
-                                        -proposal_vals.min()))
+        irfft(spec, inv_n, out=vals)
+        err = max(np.maximum.reduce(err_vals), -np.minimum.reduce(err_vals))
+        scale = config.tol * (1.0 + max(np.maximum.reduce(proposal_vals),
+                                        -np.minimum.reduce(proposal_vals)))
         ratio = err / scale
         steps += 1
 
@@ -321,6 +341,8 @@ def residual(fields, zetas, a, mu, grid: TauGrid, *, form="q"):
     periodic grids and central differences on windowed ones; only
     interior stations (and interior tau points, if windowed) count.
     """
+    if form not in ("q", "u"):
+        raise ConfigError(f"form must be 'q' or 'u', got {form!r}")
     zetas = np.asarray(zetas, dtype=float)
     if zetas.size < 3:
         raise SpacingError("need at least three stations")
@@ -360,8 +382,6 @@ def residual(fields, zetas, a, mu, grid: TauGrid, *, form="q"):
     mid = stack[1:-1, sl]
     if form == "q":
         defect = d_z - a * d_tau[1:-1] ** 2 - mu * d_tautau[1:-1]
-    elif form == "u":
-        defect = d_z - a * mid * d_tau[1:-1] - mu * d_tautau[1:-1]
     else:
-        raise ConfigError(f"form must be 'q' or 'u', got {form!r}")
+        defect = d_z - a * mid * d_tau[1:-1] - mu * d_tautau[1:-1]
     return float(np.max(np.abs(defect)))

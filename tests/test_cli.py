@@ -174,6 +174,30 @@ out = {out}
         assert config.stations == (1.0,)
         assert config.grid_n == 256
 
+    def test_signal_of_no_power_of_two_length_exits_2(self, tmp_path, capsys):
+        # a tabulated signal sets the grid, and the march's transforms
+        # need a power-of-two sample count
+        tau = 2.0 * np.pi * np.arange(100) / 100
+        signal = tmp_path / "signal.csv"
+        signal.write_text("tau,w\n" + "".join(
+            f"{t:.17g},{w:.17g}\n" for t, w in zip(tau, np.cos(tau))))
+        path = write_config(tmp_path, f"""
+[params]
+a = 1.0
+[initial]
+kind = table
+path = {signal}
+column = w
+[run]
+stations = 0.5
+outputs = qnum
+out = {tmp_path / 'data'}
+""")
+        assert main(["run", "--config", str(path)]) == 2
+        assert ("periodic grids need a power-of-two sample count >= 16, "
+                "got 100") in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
 
 def _reference_write_csv(path, names, columns):
     """The per-cell CSV writer: ``_write_csv`` must write the same bytes."""

@@ -173,6 +173,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(stations=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
+        # a NaN tolerance rejects every step until the step collapses, a
+        # wrong diagnosis, and an infinite one accepts every step
+        with pytest.raises(ConfigError, match="positive and finite"):
+            SolverConfig(tol=tol)
+
 
 class TestMarch:
     def test_pure_heat_decay(self):
@@ -293,6 +300,32 @@ class TestMarch:
             assert all(not np.shares_memory(f, g) for g in r.fields[i + 1:])
         assert not np.array_equal(r.fields[2], r.fields[3])
 
+    @pytest.mark.parametrize("form, one_off", [("q", 2), ("u", 4)])
+    def test_step_loop_bypasses_the_fft_wrapper(self, monkeypatch, form,
+                                                one_off):
+        # the step's transforms call np.fft's gufuncs: only the signal's
+        # rfft (after u_from_q's two transforms in the u-form) and the
+        # x = 0 station go through np.fft, however many steps the march
+        # takes, and the fields are those of the wrapper's transforms
+        pocketfft = np.fft._pocketfft_umath
+        assert pocketfft.rfft_n_even.signature == "(n),()->(m)"
+        assert pocketfft.irfft.signature == "(m),()->(n)"
+        args = (COS, PhysParams(5.0, 1.0), FLARE, GRID,
+                SolverConfig(stations=(0.0, 1.0, 2.0), form=form))
+        want = _reference_solve(*args)
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*a, _transform=getattr(np.fft, name), **kw):
+                calls.append(_transform.__name__)
+                return _transform(*a, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        got = solve(*args)
+        assert got.steps == want.steps > 100
+        assert len(calls) <= one_off, calls
+        assert len(got.fields) == len(want.fields) == 3
+        for f_got, f_want in zip(got.fields, want.fields):
+            assert f_got.tobytes() == f_want.tobytes()
+
     def test_windowed_grid_rejected(self):
         with pytest.raises(ConfigError, match="periodic grids only"):
             solve(COS, PhysParams(1.0, 1.0), FLARE,
@@ -379,6 +412,20 @@ class TestResidual:
         g = TauGrid.periodic_default(32)
         with pytest.raises(SpacingError):
             residual([np.zeros(g.n)] * 3, [0.2, 0.2, 0.2], 1.0, 1.0, g)
+
+    def test_fields_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ConfigError, match="expected 3 fields of 64"):
+            residual(np.zeros((3, 32)), [0.0, 0.1, 0.2], 1.0, 1.0,
+                     TauGrid.periodic_default(64))
+
+    def test_unknown_form_rejected_before_any_transform(self, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform before the form check")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        with pytest.raises(ConfigError, match="form must be 'q' or 'u'"):
+            residual(np.zeros((3, 64)), [0.0, 0.1, 0.2], 1.0, 1.0,
+                     TauGrid.periodic_default(64), form="p")
 
     def test_too_few_stations_rejected(self):
         g = TauGrid.periodic_default(32)
