@@ -389,12 +389,11 @@ def load_config(path, *, out=None, tol=None) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
 
-    a, nu = _need(cp, "params", "a"), _opt(cp, "params", "nu", 1.0)
-    if nu <= 0.0:
-        raise ConfigError(f"[params] nu = {nu:g} must be positive")
-    if a < 0.0:
-        raise ConfigError(f"[params] a = {a:g} must be >= 0")
-    params = PhysParams(a, nu)
+    try:
+        params = PhysParams(_need(cp, "params", "a"),
+                            _opt(cp, "params", "nu", 1.0))
+    except DomainError as err:    # its message names a or nu
+        raise ConfigError(f"[params] {err}") from err
     settings = {name: _need(cp, section, key, cast)
                 for section, key, name, cast in _RUN_SETTINGS
                 if cp.has_option(section, key)}

@@ -37,11 +37,8 @@ class QuadratureError(HornWaveError):
 
 
 class SeriesTailError(HornWaveError):
-    """A truncated series cannot meet its tail bound at the requested order."""
-
-    def __init__(self, message: str, suggested_kmax: int | None = None):
-        super().__init__(message)
-        self.suggested_kmax = suggested_kmax
+    """A series' coefficients did not converge: the Bessel continued
+    fraction gave different orders from two start depths."""
 
 
 class RangeOverflowError(HornWaveError, OverflowError):

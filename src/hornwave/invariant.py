@@ -100,6 +100,8 @@ class InvariantConfig:
     c1: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.betas)):
+            raise ConfigError("betas must be finite")
         b0 = self.betas[0]
         m = self.betas[3]
         if b0 <= 0:

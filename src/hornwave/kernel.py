@@ -27,7 +27,8 @@ either route.  kernel_quadrature reads K at one station from that
 evaluator.
 
 The quadrature route computes K alone; the amplitude derivatives come
-from kernel_series.
+from kernel_series, which reads one sequence I_0(z) .. I_N(z) a call from
+one backward continued fraction (bessel_i_sequence).
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ from .errors import (
 )
 from .grid import TauGrid
 
-_BESSEL_SERIES_CUTOFF = 15.0
 _BESSEL_ARG_LIMIT = 700.0     # normalization needs e^z in range
-_RESCALE_THRESHOLD = 1e250
 _SERIES_TAIL_RTOL = 1e-14
 _SPECTRUM_TAIL_RTOL = 1e-12
 _MAX_REFINEMENTS = 8
@@ -68,103 +67,44 @@ _FFT_RANGE_LIMIT = 1e9
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-def heat_kernel(x, tau, nu=1.0):
-    """Free-space Gaussian G(x, tau) = exp(-tau^2/(4 nu x)) / sqrt(4 pi nu x)."""
-    if nu <= 0.0:
-        raise DomainError(f"diffusivity must be positive, got {nu:g}")
-    if x <= 0.0:
-        raise DomainError(f"heat kernel needs x > 0, got {x:g}")
-    tau = np.asarray(tau, dtype=float)
-    out = np.exp(-tau * tau / (4.0 * nu * x)) / math.sqrt(4.0 * math.pi * nu * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def heat_propagate(values, grid: TauGrid, nu: float, x: float):
-    """Advance periodic samples through distance x of pure diffusion.
-
-    Spectral multiplication by exp(-nu k^2 x); exact for band-limited data.
-    """
-    if not grid.periodic:
-        raise ConfigError("spectral propagation requires a periodic grid")
-    if nu <= 0.0:
-        raise DomainError(f"diffusivity must be positive, got {nu:g}")
-    if x < 0.0:
-        raise DomainError(f"cannot propagate backwards, got x = {x:g}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n,):
-        raise ConfigError(
-            f"expected {grid.n} samples on the grid, got shape {values.shape}")
-    if x == 0.0:
-        return values.copy()
-    spec = np.fft.rfft(values)
-    k = grid.wavenumbers()
-    return np.fft.irfft(spec * np.exp(-nu * k * k * x), n=grid.n)
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel functions I_k
 
 
-def _bessel_power_series(count, z):
-    # ascending series, adequate for |z| <= _BESSEL_SERIES_CUTOFF
-    out = np.zeros(count)
-    half = 0.5 * z
-    q = half * half
-    t0 = 1.0
-    for k in range(count):
-        if k > 0:
-            t0 *= half / k
-            if t0 == 0.0:
-                break
-        term = t0
-        total = term
-        j = 1
-        while True:
-            term *= q / (j * (k + j))
-            total += term
-            if term <= 1e-18 * total:
-                break
-            j += 1
-        out[k] = total
-    return out
-
-
-def _bessel_miller(count, z, start):
-    # downward recurrence from a trial order, normalized by
-    # e^z = I_0 + 2 sum_{k>=1} I_k
-    f = np.zeros(start + 2)
-    f[start] = 1.0
+def _bessel_ratios(count, z, start):
+    """I_0(z) .. I_{count-1}(z), z > 0, from the continued fraction
+    started at order start; see bessel_i_sequence."""
+    ratios = np.empty(start)
+    r = 0.0
     for k in range(start, 0, -1):
-        f[k - 1] = f[k + 1] + (2.0 * k / z) * f[k]
-        if abs(f[k - 1]) > _RESCALE_THRESHOLD:
-            f[k - 1:] /= _RESCALE_THRESHOLD
-    norm = f[0] + 2.0 * np.sum(f[1:])
-    return f[:count] * (math.exp(z) / norm)
+        r = z / (2.0 * k + z * r)
+        ratios[k - 1] = r
+    rel = np.cumprod(ratios)
+    return np.concatenate(([1.0], rel[:count - 1])) * (
+        math.exp(z) / (1.0 + 2.0 * rel.sum()))
 
 
 @lru_cache(maxsize=256)
 def _bessel_sequence_cached(count: int, z: float) -> Tuple[float, ...]:
-    if z <= _BESSEL_SERIES_CUTOFF:
-        return tuple(_bessel_power_series(count, z))
+    # the fraction has converged when a start half again as deep agrees
     start = max(count + 10, int(z) + int(10.0 * math.sqrt(z)) + 20)
-    prev = _bessel_miller(count, z, start)
-    for _ in range(6):
-        start += max(20, start // 2)
-        cur = _bessel_miller(count, z, start)
-        scale = max(cur[0], 1e-300)
-        if np.max(np.abs(cur - prev)) <= 1e-13 * scale:
-            return tuple(cur)
-        prev = cur
-    raise SeriesTailError(
-        f"Bessel recurrence failed to stabilize for z = {z:g}",
-        suggested_kmax=start)
+    shallow = _bessel_ratios(count, z, start)
+    deep = _bessel_ratios(count, z, start + max(20, start // 2))
+    if np.max(np.abs(deep - shallow)) > 1e-13 * deep[0]:
+        raise SeriesTailError(
+            f"Bessel continued fraction failed to converge for z = {z:g}")
+    return tuple(deep)
 
 
 def bessel_i_sequence(count, z):
     """I_0(z) .. I_{count-1}(z) as an array.
 
-    Ascending series below z = 15, normalized downward recurrence above.
-    Arguments past 700 would overflow the e^z normalization.
+    One backward continued fraction for every z (Miller's algorithm in
+    ratio form): r_{k-1} = I_k / I_{k-1} = z / (2k + z r_k) from r = 0 at
+    a start order past the tail; I_k / I_0 is the running product, and
+    e^z = I_0 (1 + 2 sum_{k>=1} I_k / I_0) gives I_0.  The ratios lie in
+    (0, 1) and underflow to 0 past the tail, so no z overflows them.
+    I_k(-z) = (-1)^k I_k(z); arguments past 700 would overflow e^z.
     """
     if count < 1:
         raise ConfigError("need at least one order")
@@ -205,7 +145,10 @@ class InitialCondition:
 
     @classmethod
     def harmonic(cls, amplitude=1.0, phase=0.0):
-        return cls(kind="harmonic", amplitude=float(amplitude), phase=float(phase))
+        amplitude, phase = float(amplitude), float(phase)
+        if not (math.isfinite(amplitude) and math.isfinite(phase)):
+            raise ConfigError("harmonic amplitude and phase must be finite")
+        return cls(kind="harmonic", amplitude=amplitude, phase=phase)
 
     @classmethod
     def tabulated(cls, values, grid: TauGrid):
@@ -267,18 +210,21 @@ class KernelField:
 
 
 def _check_medium(a, nu):
-    if nu <= 0.0:
-        raise DomainError(f"diffusivity must be positive, got {nu:g}")
-    if a < 0.0:
-        raise DomainError(f"nonlinearity parameter must be >= 0, got {a:g}")
+    # written so that NaN fails each check
+    if not 0.0 < nu < math.inf:
+        raise DomainError(f"diffusivity must be positive and finite, got {nu:g}")
+    if not 0.0 <= a < math.inf:
+        raise DomainError(
+            f"nonlinearity parameter must be >= 0 and finite, got {a:g}")
 
 
 def _check_station(x):
-    """Name the first negative station of a scalar or an array."""
-    negative = np.less(x, 0.0)
-    if negative.any():
+    """Name the first station of a scalar or an array that is not >= 0
+    (negative or NaN)."""
+    bad = ~np.greater_equal(x, 0.0)
+    if bad.any():
         raise DomainError(
-            f"station must be >= 0, got {np.extract(negative, x)[0]:g}")
+            f"station must be >= 0, got {np.extract(bad, x)[0]:g}")
 
 
 def kernel_quadrature(ic: InitialCondition, a, nu, x, grid: TauGrid):
@@ -388,12 +334,12 @@ def _spectral_route(e_max, k):
 def heat_smoother(f, grid: TauGrid, nu):
     """x -> G(x) * f, spectral heat smoothing of periodic samples on a grid.
 
-    The spectrum of f is taken once and multiplied by exp(-nu kappa^2 x),
-    the arithmetic of heat_propagate; the rounding error is a few eps max|f|
-    everywhere, which kernel_k accepts only where the smoothed f stays
-    within _FFT_RANGE_LIMIT of max|f|.  x is a station or a 1-D array of
-    them, one row each, from one stacked exp and one irfft; a station is a
-    one-row call.  x = 0 is the delta limit, f itself.
+    The spectrum of f is taken once and multiplied by exp(-nu kappa^2 x);
+    the rounding error is a few eps max|f| everywhere, which kernel_k
+    accepts only where the smoothed f stays within _FFT_RANGE_LIMIT of
+    max|f|.  x is a station or a 1-D array of them, one row each, from one
+    stacked exp and one irfft; a station is a one-row call.  x = 0 is the
+    delta limit, f itself.
     """
     kappa = grid.wavenumbers()
     rate = -nu * kappa * kappa
@@ -434,7 +380,7 @@ def _circular_convolve(values, weights):
     return np.convolve(np.tile(values, 2)[1:], weights, "valid")
 
 
-def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):
+def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid):
     """Kernel field for a harmonic signal via the modified Bessel expansion.
 
     The expansion of exp(z cos) in harmonics carries I_k(z) coefficients
@@ -449,51 +395,24 @@ def kernel_series(ic: InitialCondition, a, nu, x, grid: TauGrid, *, kmax=None):
         raise ConfigError("series kernel requires a 2*pi periodic grid")
 
     z = a * ic.amplitude / nu
+    size = min(abs(z), _BESSEL_ARG_LIMIT)   # a larger z raises in the call
+    iv = bessel_i_sequence(16 + int(2.0 * size + 6.0 * math.sqrt(size)), z)
     # harmonic k of K_aa carries I_{k-2}: two orders past the tail of I_k
-    needed = _series_order(z) + 2
-    if kmax is None:
-        kmax = needed
-    else:
-        vals = bessel_i_sequence(kmax + 2, z)
-        if abs(vals[kmax + 1]) > _SERIES_TAIL_RTOL * vals[0]:
-            raise SeriesTailError(
-                f"series truncated at k = {kmax} has tail "
-                f"{abs(vals[kmax + 1]) / vals[0]:.3e} of the mean term",
-                suggested_kmax=needed)
-    iv = bessel_i_sequence(kmax + 3, z)
+    kmax = max(int(np.argmax(np.abs(iv) <= _SERIES_TAIL_RTOL * iv[0])) + 1, 4)
 
     orders = np.arange(1, kmax + 1)
     decay = np.exp(-nu * orders * orders * x)
     cosine = np.cos(orders[:, None] * (grid.tau[None, :] - ic.phase))
 
-    def assemble(mean, coeffs):
-        return mean + 2.0 * (coeffs * decay) @ cosine
+    def assemble(coeffs):    # harmonics 0 .. kmax
+        return coeffs[0] + 2.0 * (coeffs[1:] * decay) @ cosine
 
     # dI_k/dz = (I_{k-1} + I_{k+1})/2,  d2I_k/dz2 = (I_{k-2} + 2 I_k + I_{k+2})/4
-    # with I_{-1} = I_1 and I_{-2} = I_2; both arrays cover k = 0..kmax
-    below = np.concatenate(([iv[1]], iv[:kmax]))
-    below2 = np.concatenate(([iv[2], iv[1]], iv[:kmax - 1])) if kmax >= 1 \
-        else np.array([iv[2]])
-    iv_d = 0.5 * (below + iv[1:kmax + 2])
-    iv_dd = 0.25 * (below2 + 2.0 * iv[:kmax + 1] + iv[2:kmax + 3])
+    # on k = 0 .. kmax, read from I_{-2} .. I_{kmax+2} with I_{-k} = I_k
+    ext = np.concatenate((iv[2:0:-1], iv[:kmax + 3]))
+    iv_d = 0.5 * (ext[1:kmax + 2] + ext[3:kmax + 4])
+    iv_dd = 0.25 * (ext[:kmax + 1] + 2.0 * ext[2:kmax + 3] + ext[4:kmax + 5])
 
     s = ic.amplitude / nu
-    k = assemble(iv[0], iv[1:kmax + 1])
-    k_a = s * assemble(iv_d[0], iv_d[1:kmax + 1])
-    k_aa = s * s * assemble(iv_dd[0], iv_dd[1:kmax + 1])
-    return KernelField(k=k, k_a=k_a, k_aa=k_aa)
-
-
-def _series_order(z):
-    """Smallest kmax with |I_{kmax+1}| below the tail tolerance."""
-    if z == 0.0:
-        return 2
-    count = 16 + int(2.0 * abs(z) + 6.0 * math.sqrt(abs(z)))
-    for _ in range(8):
-        vals = np.abs(bessel_i_sequence(count, z))
-        below = np.nonzero(vals <= _SERIES_TAIL_RTOL * vals[0])[0]
-        if below.size:
-            return max(int(below[0]) - 1, 2)
-        count *= 2
-    raise SeriesTailError("no convergent truncation found",
-                          suggested_kmax=count)
+    return KernelField(k=assemble(iv[:kmax + 1]), k_a=s * assemble(iv_d),
+                       k_aa=s * s * assemble(iv_dd))

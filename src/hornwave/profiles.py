@@ -363,16 +363,18 @@ class BetaFamilyProfile(_TableMapProfile):
     zeta_cap: float | None = None
 
     def __post_init__(self):
-        if self.beta0 <= 0:
-            raise ConfigError("beta0 must be positive (b(0) > 0)")
+        if not 0.0 < self.beta0 < math.inf:
+            raise ConfigError("beta0 must be positive (b(0) > 0) and finite")
+        if not all(map(math.isfinite, (self.beta1, self.beta2, self.m))):
+            raise ConfigError("beta1, beta2 and M must be finite")
         betas = (self.beta0, self.beta1, self.beta2, self.m)
         object.__setattr__(self, "betas", betas)
         cap = self.zeta_cap
         root = _first_positive_root(self.beta0, self.beta1, self.beta2)
         if cap is None:
             cap = root * (1.0 - 1e-9) if root is not None else 32.0
-        elif not cap > 0.0:
-            raise ConfigError(f"zeta_cap must be positive, got {cap:g}")
+        elif not 0.0 < cap < math.inf:
+            raise ConfigError(f"zeta_cap must be positive and finite, got {cap:g}")
         elif root is not None and cap >= root:
             raise ConfigError(
                 f"zeta_cap {cap:g} reaches the singular point b(zeta)=0 at {root:g}")

@@ -50,10 +50,11 @@ class PhysParams:
     nu: float
 
     def __post_init__(self):
-        if self.nu <= 0.0:
-            raise DomainError(f"dissipation must be positive, got {self.nu:g}")
-        if self.a < 0.0:
-            raise DomainError(f"nonlinearity must be >= 0, got {self.a:g}")
+        # written so that NaN fails each check
+        if not 0.0 < self.nu < np.inf:
+            raise DomainError(f"nu = {self.nu:g} must be positive and finite")
+        if not 0.0 <= self.a < np.inf:
+            raise DomainError(f"a = {self.a:g} must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,15 @@ def small_config(tmp_path, **extra_run):
     return write_config(tmp_path, "\n".join(lines) + "\n")
 
 
+# a run on the signal table at {table}, and an orbit-route invariant
+# section; the input-check table below edits or extends them
+_SIGNAL_TABLE = ("[params]\na = 1\n[initial]\nkind = table\npath = {table}\n"
+                 "[run]\nstations = 0.5\noutputs = q0\n")
+_ORBIT = ("[params]\na = 1\n[invariant]\nbeta0 = 1\nbeta1 = 1\nm = -1\n"
+          "c0 = -0.1\nzeta_start = 0\nzeta_stop = 0.4\nzeta_count = 8\n"
+          "grid_n = 64\n")
+
+
 def tree_digest(directory):
     acc = hashlib.sha256()
     for path in sorted(Path(directory).iterdir()):
@@ -82,6 +91,10 @@ class TestConfigParsing:
                       profile=ExponentialProfile(-0.1),
                       ic=InitialCondition.harmonic(),
                       stations=(0.2,), outputs=("q9",))
+
+    def test_empty_station_tuple_rejected(self):
+        with pytest.raises(ConfigError, match="stations list is empty"):
+            RunConfig(params=PhysParams(1.0, 1.0), stations=())
 
     def test_no_outputs_rejected(self):
         with pytest.raises(ConfigError, match="no outputs"):
@@ -787,6 +800,48 @@ out = {tmp_path / 'data'}
 """)
         assert main(["run", "--config", str(path)]) == 2
         assert "samples must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command, table, body, fragment", [
+        ("run", None, _SIGNAL_TABLE, "does not exist"),
+        ("run", "# no rows\n", _SIGNAL_TABLE, "is empty"),
+        ("run", "tau,qnum\n0,1\n1,abc\n2,1\n", _SIGNAL_TABLE,
+         "could not convert"),
+        ("run", "tau,qnum\n0,1,5\n1,0,5\n2,1,5\n", _SIGNAL_TABLE,
+         "ragged rows"),
+        ("run", "tau,qnum\n0,1\n1,0\n", _SIGNAL_TABLE,
+         "at least 3 tau samples"),
+        ("run", "tau,qnum\n0,1\n1,0\n3,1\n", _SIGNAL_TABLE,
+         "not uniformly spaced"),
+        ("run", "t,qnum\n0,1\n1,0\n2,1\n", _SIGNAL_TABLE, "no tau column"),
+        ("run", "tau,q1\n0,1\n1,0\n2,1\n", _SIGNAL_TABLE,
+         "no column 'qnum'"),
+        ("run", None, "[params]\na = 1\n[initial]\nkind = chirp\n[run]\n",
+         "unknown initial kind"),
+        ("invariant", None, _ORBIT + "route = spline\n[run]\n",
+         "route must be 'orbit' or 'ode'"),
+        ("invariant", None, _ORBIT.replace("zeta_count = 8", "zeta_count = 0")
+         + "[run]\n", "zeta range must be non-empty"),
+        ("run", None, "[params]\na = 1\na = 2\n[run]\n", "already exists"),
+        ("run", None, "[params]\na = 1\n[run]\noutputs = q1, invariant\n",
+         "has its own subcommand"),
+        ("profile", None, "[params]\na = 1\n[profile]\nkind = constant\n"
+         "x_stop = 1\nx_count = 3\n[run]\n", "x_count must be at least 4"),
+    ], ids=["table-missing", "table-empty", "table-cell", "table-ragged",
+            "signal-too-short", "signal-uneven", "signal-no-tau",
+            "signal-no-column", "initial-kind", "invariant-route",
+            "invariant-zeta-count", "duplicate-key", "run-invariant-output",
+            "profile-x-count"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, table,
+                                     body, fragment):
+        # each body ends in its [run] section; {table} names the signal
+        # table, written only when the case gives its text
+        if table is not None:
+            (tmp_path / "signal.csv").write_text(table)
+        path = write_config(tmp_path, body.format(table=tmp_path / "signal.csv")
+                            + f"out = {tmp_path / 'data'}\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert fragment in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
     def test_default_station_is_checked_before_any_output(self, tmp_path,

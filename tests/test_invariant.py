@@ -101,6 +101,11 @@ class TestSimilarityVars:
         with pytest.raises(DomainError):
             similarity_vars((1.0, 0.0, 0.0, 1.0), -0.1, 0.3)
 
+    def test_non_positive_b_without_a_root_raises(self):
+        # b = -1 has no root for d_of_zeta to find, but is not positive
+        with pytest.raises(SingularProfileError, match=r"b\(0.5\) = -1 is not"):
+            similarity_vars((-1.0, 0.0, 0.0, 1.0), 0.5, 1.0)
+
 
 class TestInvariantConfig:
     def test_requires_positive_beta0(self):
@@ -119,6 +124,15 @@ class TestInvariantConfig:
     def test_requires_some_selecting_data(self):
         with pytest.raises(ConfigError):
             InvariantConfig(betas=(1.0, 0.0, 0.0, 1.0), params=UNIT)
+
+    @pytest.mark.parametrize("betas", [
+        (math.nan, 0.0, 0.0, -1.0), (math.inf, 0.0, 0.0, -1.0),
+        (1.0, math.nan, 0.0, -1.0), (1.0, 0.0, -math.inf, -1.0),
+        (1.0, 0.0, 0.0, math.nan)])
+    def test_rejects_non_finite_betas(self, betas):
+        # a NaN beta0 passed the b0 <= 0 test and the config was built
+        with pytest.raises(ConfigError, match="betas must be finite"):
+            InvariantConfig(betas=betas, params=UNIT, c0=-0.1)
 
     def test_either_route_accepted(self):
         InvariantConfig(betas=(1.0, 0.0, 0.0, 1.0), params=UNIT, c0=-0.1)
@@ -349,6 +363,14 @@ class TestFactorODE:
         with pytest.raises(ConfigError):
             integrate_factor_ode(cfg, 1.0)
 
+    def test_span_must_start_at_zero(self):
+        cfg = InvariantConfig(betas=(1.0, 0.0, 1.0, 1.0), params=UNIT,
+                              w0=0.3, w0_slope=0.0)
+        with pytest.raises(ConfigError, match="lambda_max must be positive"):
+            integrate_factor_ode(cfg, 0.0)
+        with pytest.raises(ConfigError, match="lambda_min cannot be positive"):
+            integrate_factor_ode(cfg, 1.0, lambda_min=0.5)
+
 
 class TestFirstIntegral:
     def test_orbit_turning_points_and_period(self):
@@ -384,6 +406,11 @@ class TestFirstIntegral:
         # constant-flare branch of the ODE: W'' + (W')^2 + W = 0
         res = wpp + orbit.slope(lams) ** 2 + orbit(lams)
         assert np.max(np.abs(res)) < 1e-6
+
+    @pytest.mark.parametrize("a, nu", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_needs_positive_a_and_nu(self, a, nu):
+        with pytest.raises(ConfigError, match="must be positive"):
+            first_integral_solution(-1.0, a, -0.1, nu=nu)
 
     def test_periodicity_needs_negative_m_and_c0(self):
         with pytest.raises(ConfigError):

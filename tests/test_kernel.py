@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ive
@@ -27,12 +27,12 @@ from hornwave.grid import TauGrid
 from hornwave.kernel import (
     InitialCondition,
     bessel_i_sequence,
-    heat_kernel,
-    heat_propagate,
     kernel_k,
     kernel_quadrature,
     kernel_series,
 )
+
+from heat_reference import heat_propagate
 
 GRID = TauGrid.periodic_default(64)
 COS = InitialCondition.harmonic()
@@ -46,23 +46,18 @@ def bessel_series_oracle(k, z, terms=12):
     return total
 
 
-class TestHeatKernel:
-    def test_peak_value(self):
-        assert heat_kernel(1.0, 0.0, 1.0) == pytest.approx(0.28209479177387814, abs=1e-16)
-
-    def test_off_peak(self):
-        assert heat_kernel(1.0, 2.0, 1.0) == pytest.approx(0.10377687435514868, abs=1e-16)
-
-    def test_unit_mass(self):
-        val = np.trapezoid(heat_kernel(0.3, np.linspace(-30, 30, 20001), 0.7),
-                           dx=60 / 20000)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            heat_kernel(0.0, 1.0)
-        with pytest.raises(DomainError):
-            heat_kernel(1.0, 1.0, nu=-2.0)
+def scipy_series_field(amplitude, a, nu, x, grid, kmax):
+    """K, K_a and K_aa of the harmonic amplitude * cos(tau) from scipy's
+    ive, summed to order kmax, with I_k' = (I_{k-1} + I_{k+1}) / 2 and
+    I_k'' = (I_{k-2} + 2 I_k + I_{k+2}) / 4."""
+    z, k = a * amplitude / nu, np.arange(kmax + 1)
+    i = {j: ive(k + j, z) * math.exp(z) for j in (-2, -1, 0, 1, 2)}
+    weights = np.where(k == 0, 1.0, 2.0) * np.exp(-nu * k * k * x)
+    cosine = np.cos(k[:, None] * grid.tau[None, :])
+    s = amplitude / nu
+    return ((weights * i[0]) @ cosine,
+            s * (weights * 0.5 * (i[-1] + i[1])) @ cosine,
+            s * s * (weights * 0.25 * (i[-2] + 2.0 * i[0] + i[2])) @ cosine)
 
 
 class TestHeatPropagate:
@@ -80,15 +75,6 @@ class TestHeatPropagate:
     def test_zero_distance_is_identity(self):
         vals = np.sin(GRID.tau)
         assert np.array_equal(heat_propagate(vals, GRID, 1.0, 0.0), vals)
-
-    def test_rejects_windowed_grid(self):
-        g = TauGrid.windowed(-1.0, 1.0, 17)
-        with pytest.raises(ConfigError):
-            heat_propagate(np.zeros(17), g, 1.0, 0.1)
-
-    def test_rejects_backward(self):
-        with pytest.raises(DomainError):
-            heat_propagate(np.zeros(GRID.n), GRID, 1.0, -0.1)
 
 
 class TestBessel:
@@ -126,6 +112,58 @@ class TestBessel:
     def test_overflow_guard(self):
         with pytest.raises(RangeOverflowError):
             bessel_i_sequence(1, 701.0)
+
+    def test_rejects_no_orders_and_nan(self):
+        with pytest.raises(ConfigError, match="at least one order"):
+            bessel_i_sequence(0, 1.0)
+        with pytest.raises(DomainError, match="NaN"):
+            bessel_i_sequence(3, math.nan)
+
+    def test_start_orders_that_disagree_raise(self):
+        # the fraction is taken from two start orders; rows that differ
+        # mean it has not converged, which no truncation fixes
+        def by_start(count, z, start):
+            return np.full(count, float(start))
+
+        with mock.patch.object(kernel_module, "_bessel_ratios",
+                               side_effect=by_start):
+            with pytest.raises(SeriesTailError, match="z = 123.25"):
+                bessel_i_sequence(4, 123.25)
+
+    def test_one_sequence_per_series_call(self):
+        with mock.patch.object(kernel_module, "bessel_i_sequence",
+                               wraps=bessel_i_sequence) as spy:
+            for a in (0.0, 0.5, 10.0, 300.0):
+                kernel_series(COS, a, 1.0, 0.3, GRID)
+        assert spy.call_count == 4
+
+    @settings(max_examples=120)
+    @given(z=st.floats(-700.0, 700.0))
+    @example(z=0.0)
+    @example(z=1e-300)
+    @example(z=700.0)
+    @example(z=-700.0)
+    def test_series_sequence_matches_scipy_past_its_truncation(self, z):
+        # the one sequence kernel_series reads: scipy's to 1e-12 on every
+        # order that is not negligible, and long enough to hold two orders
+        # past the first one below 1e-14 I_0, where K_aa's sum stops
+        seen = []
+
+        def record(count, arg):
+            seen.append(bessel_i_sequence(count, arg))
+            return seen[-1]
+
+        ic = InitialCondition.harmonic(amplitude=math.copysign(1.0, z))
+        with mock.patch.object(kernel_module, "bessel_i_sequence",
+                               side_effect=record):
+            kernel_series(ic, abs(z), 1.0, 0.3, GRID)
+        (vals,) = seen
+        orders = np.arange(vals.size)
+        ref = ive(orders, z) * math.exp(abs(z))
+        keep = np.abs(ref) >= 1e-16 * ref[0]
+        assert np.all(np.abs(vals[keep] - ref[keep]) <= 1e-12 * np.abs(ref[keep]))
+        tail = np.flatnonzero(np.abs(vals) <= 1e-14 * vals[0])
+        assert tail.size and max(tail[0] + 1, 4) + 3 <= vals.size
 
 
 def longdouble_kernel_field(a, nu, x, grid, n_quad=2048, n_modes=80):
@@ -216,9 +254,8 @@ class TestKernelField:
         # the default truncation must reach past K's own tail for them
         ic = InitialCondition.harmonic(amplitude=0.5)
         mine = kernel_series(ic, 0.015625, 1.0, 0.0625, GRID)
-        ref = kernel_series(ic, 0.015625, 1.0, 0.0625, GRID, kmax=48)
-        for got, want in [(mine.k, ref.k), (mine.k_a, ref.k_a),
-                          (mine.k_aa, ref.k_aa)]:
+        ref = scipy_series_field(0.5, 0.015625, 1.0, 0.0625, GRID, kmax=48)
+        for got, want in zip((mine.k, mine.k_a, mine.k_aa), ref):
             assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_sparse_spectrum_refines_the_working_grid(self):
@@ -231,17 +268,41 @@ class TestKernelField:
         ref = k_of(TauGrid.periodic_default(4096))[::4096 // GRID.n]
         assert np.max(np.abs(k_of(GRID) - ref)) <= 1e-13 * np.max(ref)
 
-    def test_series_tail_guard(self):
-        with pytest.raises(SeriesTailError) as err:
-            kernel_series(COS, 10.0, 1.0, 0.5, GRID, kmax=5)
-        assert err.value.suggested_kmax > 5
-        # honoring the suggestion works
-        kernel_series(COS, 10.0, 1.0, 0.5, GRID, kmax=err.value.suggested_kmax)
-
     def test_rejects_non_harmonic_series(self):
         tab = InitialCondition.tabulated(np.cos(GRID.tau), GRID)
         with pytest.raises(ConfigError):
             kernel_series(tab, 1.0, 1.0, 0.5, GRID)
+
+    def test_series_rejects_other_periods(self):
+        with pytest.raises(ConfigError, match="2\\*pi periodic"):
+            kernel_series(COS, 1.0, 1.0, 0.5, TauGrid(n=64, period=4.0))
+
+    def test_series_argument_past_the_double_range(self):
+        # a / nu overflows to inf: the typed overflow, not a bare int() error
+        with pytest.raises(RangeOverflowError, match="exceeds 700"):
+            kernel_series(COS, 1e300, 1e-10, 0.5, GRID)
+
+
+KERNEL_ROUTES = {
+    "quadrature": lambda a, nu, x: kernel_quadrature(COS, a, nu, x, GRID),
+    "evaluator": lambda a, nu, x: kernel_k(COS, a, nu, GRID)(x),
+    "series": lambda a, nu, x: kernel_series(COS, a, nu, x, GRID),
+}
+
+
+@pytest.mark.parametrize("route", sorted(KERNEL_ROUTES))
+@pytest.mark.parametrize("a, nu, x, what", [
+    (1.0, 0.0, 0.5, "diffusivity"), (1.0, -1.0, 0.5, "diffusivity"),
+    (1.0, math.nan, 0.5, "diffusivity"), (1.0, math.inf, 0.5, "diffusivity"),
+    (-1.0, 1.0, 0.5, "nonlinearity"), (math.nan, 1.0, 0.5, "nonlinearity"),
+    (math.inf, 1.0, 0.5, "nonlinearity"), (1.0, 1.0, math.nan, "station"),
+    (1.0, 1.0, -0.5, "station"),
+], ids=["nu-zero", "nu-negative", "nu-nan", "nu-inf", "a-negative", "a-nan",
+        "a-inf", "x-nan", "x-negative"])
+def test_kernel_entry_rejects_values_outside_the_domain(route, a, nu, x, what):
+    # NaN fails every comparison, so each check asks for what is allowed
+    with pytest.raises(DomainError, match=what):
+        KERNEL_ROUTES[route](a, nu, x)
 
 
 # Each smoothing route rounds to a few eps max(e): the rfft/irfft pair by
@@ -522,6 +583,13 @@ class TestInitialCondition:
         grid = TauGrid.windowed(-1.0, 1.0, 17)
         with pytest.raises(ConfigError, match="periodic grid"):
             InitialCondition.tabulated(np.cos(grid.tau), grid)
+
+    @pytest.mark.parametrize("amplitude, phase", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan),
+        (1.0, math.inf)])
+    def test_harmonic_rejects_non_finite(self, amplitude, phase):
+        with pytest.raises(ConfigError, match="must be finite"):
+            InitialCondition.harmonic(amplitude=amplitude, phase=phase)
 
     def test_rejects_bad_table(self):
         with pytest.raises(ConfigError):

@@ -339,6 +339,11 @@ class TestDOfZeta:
         with pytest.raises(SingularProfileError):
             P.d_of_zeta((1.0, -4.0, 2.0, 1.0), 1.9)   # smaller quadratic root inside
 
+    def test_vanishing_b_at_the_origin_detected(self):
+        # beta0 = 0 is no positive root, so the root search alone misses it
+        with pytest.raises(SingularProfileError, match="beta0 vanishes"):
+            P.d_of_zeta((0.0, 1.0, 0.0, 1.0), 0.5)
+
     @given(b0=st.floats(0.2, 4.0), b1=st.floats(-3.0, 3.0),
            b2=st.floats(-2.0, 2.0), m=st.floats(-2.0, 2.0).filter(lambda v: abs(v) > 1e-3),
            z=st.floats(0.0, 1.5))
@@ -376,6 +381,21 @@ class TestBetaFamilyProfile:
             P.BetaFamilyProfile(1.0, -2.5, 1.0, 1.0, zeta_cap=0.6)
         with pytest.raises(ConfigError):
             P.BetaFamilyProfile(1.0, -2.5, 1.0, 1.0, zeta_cap=0.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.0, 0.05, -0.1), "beta0"), ((math.nan, 0.0, 0.05, -0.1), "beta0"),
+        ((math.inf, 0.0, 0.05, -0.1), "beta0"),
+        ((1.0, math.nan, 0.05, -0.1), "finite"),
+        ((1.0, 0.0, math.nan, -0.1), "finite"),
+        ((1.0, 0.0, 0.05, math.nan), "finite"),
+        ((1.0, -math.inf, 0.05, -0.1), "finite"),
+        ((1.0, 0.0, 0.05, -0.1, math.nan), "zeta_cap"),
+        ((1.0, 0.0, 0.05, -0.1, math.inf), "zeta_cap"),
+    ])
+    def test_rejects_non_finite_or_non_positive_betas(self, args, message):
+        # a NaN beta2 once reached d_of_zeta's D = 0 branch and built a duct
+        with pytest.raises(ConfigError, match=message):
+            P.BetaFamilyProfile(*args)
 
 
 # the closed-form ducts of PROFILES, and the two corners PowerLawProfile
@@ -451,6 +471,13 @@ class TestLinearB:
         with pytest.raises(DomainError):
             prof.x_of_zeta(200.0)   # x rounds onto the focal point
 
+    def test_zeta_rounding_onto_the_open_end(self):
+        # the zeta just below zeta_max = -beta0/beta1 passes the range
+        # check, yet r zeta rounds to -1, where log1p has no value
+        prof = P.PowerLawProfile(3.0, -2.1, 0.0)
+        with pytest.raises(DomainError, match="rounds onto the open end"):
+            prof.x_of_zeta(math.nextafter(prof.zeta_max, 0.0))
+
     @pytest.mark.parametrize("args, message", [
         ((0.0, 1.0, 1.0), "beta0"), ((math.inf, 1.0, 1.0), "beta0"),
         ((math.nan, 1.0, 1.0), "beta0"), ((1.0, math.nan, 1.0), "finite"),
@@ -505,6 +532,16 @@ class TestTabulatedProfile:
     def test_rejects_unnormalized_section(self):
         with pytest.raises(ConfigError):
             P.TabulatedProfile(np.linspace(0, 1, 5), np.full(5, 2.0))
+
+    @pytest.mark.parametrize("xs, s, message", [
+        ([0.0, 1.0, 2.0], [1.0, 0.9, 0.8], "at least 4 points"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.9, 0.8], "matching"),
+        ([0.5, 1.0, 2.0, 3.0], [1.0, 0.9, 0.8, 0.7], "start at x = 0"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.9, 0.0, 0.7], "positive"),
+    ], ids=["too-few", "mismatched", "offset-start", "zero-section"])
+    def test_rejects_malformed_samples(self, xs, s, message):
+        with pytest.raises(ConfigError, match=message):
+            P.TabulatedProfile(np.array(xs), np.array(s))
 
 
 @st.composite
