@@ -178,8 +178,10 @@ class RunConfig:
         st = tuple(float(s) for s in self.stations)
         if not st:
             raise ConfigError("stations list is empty")
-        if any(b <= a for a, b in zip(st, st[1:])) or st[0] < 0.0:
-            raise ConfigError("stations must be sorted, distinct, and >= 0")
+        if (not all(map(math.isfinite, st)) or st[0] < 0.0
+                or any(b <= a for a, b in zip(st, st[1:]))):
+            raise ConfigError(
+                "stations must be finite, sorted, distinct, and >= 0")
         outs = tuple(self.outputs)
         if not outs:
             raise ConfigError("no outputs requested")

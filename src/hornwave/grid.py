@@ -35,16 +35,14 @@ class TauGrid:
         Length of the periodic cell (periodic grids only).
     start : float
         Left end of the sampled range.
-    periodic : bool
-        Periodic grids omit the right endpoint; windowed grids include it.
     window : tuple of float, optional
-        (lo, hi) for non-periodic grids; overrides ``period``/``start``.
+        (lo, hi) of a windowed grid, which overrides ``period``/``start``.
+        A grid without one is periodic.
     """
 
     n: int
     period: float = TWO_PI
     start: float = 0.0
-    periodic: bool = True
     window: tuple[float, float] | None = None
     tau: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -57,8 +55,6 @@ class TauGrid:
                 raise ConfigError(f"period must be positive and finite, got {self.period}")
             tau = self.start + self.period * np.arange(self.n) / self.n
         else:
-            if self.window is None:
-                raise ConfigError("non-periodic grids need an explicit window")
             lo, hi = self.window
             if not (hi > lo and math.isfinite(lo) and math.isfinite(hi)):
                 raise ConfigError(f"bad window {self.window!r}")
@@ -74,7 +70,12 @@ class TauGrid:
 
     @classmethod
     def windowed(cls, lo: float, hi: float, n: int) -> "TauGrid":
-        return cls(n=n, periodic=False, window=(lo, hi))
+        return cls(n=n, window=(lo, hi))
+
+    @property
+    def periodic(self) -> bool:
+        """Periodic grids omit the right endpoint; windowed grids include it."""
+        return self.window is None
 
     @property
     def dtau(self) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dopri import A as _A, C as _C, E as _E
 from ._quadrature import adaptive_quad
 from .errors import (BlowUpError, ConfigError, CoverageError, DomainError,
                      HornWaveError, RangeOverflowError, SingularProfileError)
@@ -32,22 +33,9 @@ _BLOW_UP_LIMIT = 1e8
 _ODE_TOL = 1e-10           # factor ODE step tolerance, relative and absolute
 _ORBIT_SAMPLES = 4097      # theta samples across one half orbit
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving Ordinary
-# Differential Equations I, sec. II.5) as scipy's RK45 holds it: stage
-# nodes, stage rows, fifth-order weights, error weights (fifth minus
-# embedded fourth order, over the seven stages with the FSAL one) and the
-# quartic dense output of Shampine (Math. Comp. 46, 1986).
-_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
-_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-                  1/40])
+# the fifth-order weights of the Dormand-Prince 5(4) pair, and the quartic
+# dense output of Shampine (Math. Comp. 46, 1986) over its seven stages
+_B = _A[6, :6]
 _DP_P = np.array([
     [1, -8048581381/2820520608, 8663915743/2820520608,
      -12715105075/11282082432],
@@ -102,6 +90,9 @@ class InvariantConfig:
     def __post_init__(self):
         if not all(map(math.isfinite, self.betas)):
             raise ConfigError("betas must be finite")
+        data = (self.w0, self.w0_slope, self.c0, self.c1)
+        if not all(math.isfinite(v) for v in data if v is not None):
+            raise ConfigError("w0, w0_slope, c0 and c1 must be finite")
         b0 = self.betas[0]
         m = self.betas[3]
         if b0 <= 0:
@@ -220,12 +211,12 @@ def _dormand_prince(rhs, y, end, max_step):
             h_abs = abs(h)
             stages[0] = f
             for i in range(1, 6):
-                stages[i] = rhs(lam + _DP_C[i] * h,
-                                y + (stages[:i].T @ _DP_A[i, :i]) * h)
-            y_new = y + h * (stages[:6].T @ _DP_B)
+                stages[i] = rhs(lam + _C[i] * h,
+                                y + (stages[:i].T @ _A[i, :i]) * h)
+            y_new = y + h * (stages[:6].T @ _B)
             f_new = stages[6] = rhs(lam + h, y_new)
             scale = _ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * _ODE_TOL
-            err = _rms((stages.T @ _DP_E) * h / scale)
+            err = _rms((stages.T @ _E) * h / scale)
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0
                           else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP))
@@ -379,6 +370,9 @@ def first_integral_solution(m, a, c0, *, c1=0.0, nu=1.0):
     integrand sampled densely in theta, and the table w(s) takes its
     exact slopes dw/ds = half sin(theta) sqrt(h) at the samples.
     """
+    if not all(map(math.isfinite, (m, a, c0, c1, nu))):
+        raise ConfigError(f"M = {m:g}, a = {a:g}, c0 = {c0:g}, c1 = {c1:g} "
+                          f"and nu = {nu:g} must be finite")
     if a <= 0 or nu <= 0:
         raise ConfigError(f"a = {a:g} and nu = {nu:g} must be positive")
     if m >= 0 or c0 >= 0:

@@ -18,28 +18,29 @@ The additive gauge freedom of the q potential is fixed to zero; the mean
 of q then evolves by the (q_tau)^2 average, which the k = 0 mode of the
 nonlinear term supplies automatically.
 
-Each step evaluates the stage-pair decays it uses in one ``exp`` call.
-A decay below exp(-708) = 3.3e-308, just above the smallest normal
-double, is stored as an exact zero: numpy's vectorized ``exp`` leaves
-its fast path for every result that underflows, and each product with
-a subnormal factor is slow again.  Such a decay is too small to move a
-stage sum of the field's own scale.  The smallest exponent of a step is
-that of the top mode across the whole step, so when it stays above the
-floor a plain ``exp`` gives the same bits as the masked one at about
-half the cost.  The dealiased nonlinear term reads and returns only the
-modes below the 2/3-rule cutoff, so the stage sums are carried on that
-band alone; only the proposal carries the modes above it, which decay
-and take no nonlinear forcing.
+Each step evaluates the decays of every stage pair j < i in one ``exp``
+call.  A decay below exp(-708) = 3.3e-308, just above the smallest
+normal double, is stored as an exact zero: numpy's vectorized ``exp``
+leaves its fast path for every result that underflows, and each product
+with a subnormal factor is slow again.  Such a decay is too small to
+move a stage sum of the field's own scale.  The smallest exponent of a
+step is that of the top mode across the whole step, so when it stays
+above the floor a plain ``exp`` gives the same bits as the masked one at
+about half the cost.  The dealiased nonlinear term reads and returns
+only the modes below the 2/3-rule cutoff, so the stage sums are carried
+on that band alone; only the proposal carries the modes above it, which
+decay and take no nonlinear forcing.
 
 A step is mostly numpy call overhead on arrays of n/3 modes, so
 ``solve`` allocates its workspaces once a call: the stage spectra, the
 decays and weights, a term buffer, the band and real samples the FFTs
 write into, and two error/proposal spectra used in turn, the accepted
-one holding the state.  Stage i stacks its terms, decay(0, i) state and
-h a_ij decay(j, i) n_j, and one reduce over the stack adds them in that
-order, so every step makes the same floating-point operations in the
-same order as a sum formed term by term.  The error sum works the same
-way.
+one holding the state.  Stage i stacks decay(0, i) state over the
+terms h a_ij decay(j, i) n_j of every j < i, which one product forms,
+and one reduce adds the stack in that order, as a sum formed term by
+term would.  The error sum is one product and one reduce too.  The
+tableau's zero weights, a_61 and e_1, add exact zeros, which leave the
+sums' bits as they are.
 
 The step's 13 transforms call the pocketfft gufuncs that
 ``np.fft.rfft`` and ``np.fft.irfft`` wrap, with the arguments the
@@ -60,37 +61,17 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ._dopri import A as _A, C as _C, E as _ERR
 from .errors import ConfigError, ResolutionError, SpacingError
 from .grid import TauGrid
 from .kernel import InitialCondition
 from .profiles import Profile
 from .rg import PhysParams
 
-# Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-]
-_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                 -17253 / 339200, 22 / 525, -1 / 40])
-
-# (j, i) stage pairs a step uses, one for each nonzero a_ij.  a_i0 != 0 in
-# every stage, so pair (0, i) also carries the state into stage i, and the
-# pairs of a stage are consecutive rows.  The nonzero error weights below
-# j = 6 sit at the j of stage 6's pairs, the last rows, and the weight of
-# n_6 pairs with (6, 6), whose decay is exactly 1.
-_STAGE_J = [[j for j, aij in enumerate(row) if aij != 0.0] for row in _A]
-_PAIRS = [(j, i) for i in range(1, 7) for j in _STAGE_J[i]]
-_A_COEF = np.array([[_A[i][j]] for j, i in _PAIRS])   # a column: a_ij
-_ERR_J = [j for j, ej in enumerate(_ERR) if ej != 0.0]
-_ERR_ROWS = slice(len(_PAIRS) - len(_STAGE_J[6]), len(_PAIRS))
-_PAIR_J, _PAIR_I = np.array(_PAIRS).T[:, :, None]     # columns, as _A_COEF
+# every stage pair (j, i), j < i, by stage; pair (0, i) carries the
+# state into stage i, and stage 6's pairs are the last six
+_PAIR_I, _PAIR_J = (v[:, None] for v in np.tril_indices(7, -1))
+_A_COEF = _A[_PAIR_I, _PAIR_J]      # a column: a_ij
 _EXP_FLOOR = -708.0         # smaller decays are stored as exact zeros
 
 _SAFETY = 0.9
@@ -112,8 +93,9 @@ class SolverConfig:
             raise ConfigError(
                 f"marching tolerance must be positive and finite, got {self.tol}")
         st = np.asarray(self.stations, dtype=float)
-        if st.size == 0 or st[0] < 0.0 or np.any(np.diff(st) <= 0.0):
-            raise ConfigError("stations must increase from 0")
+        if (st.size == 0 or not np.all(np.isfinite(st)) or st[0] < 0.0
+                or np.any(np.diff(st) <= 0.0)):
+            raise ConfigError("stations must be finite and increase from 0")
         object.__setattr__(self, "stations", tuple(float(s) for s in st))
 
 
@@ -130,25 +112,10 @@ class SolverResult:
     """Attempted steps whose error estimate exceeded the tolerance."""
 
 
-def spectral_derivative(values, grid: TauGrid):
-    spec = np.fft.rfft(values)
-    return np.fft.irfft(1j * grid.wavenumbers() * spec, n=grid.n)
-
-
 def u_from_q(values, grid: TauGrid):
     """u = 2 dq/dtau, spectrally."""
-    return 2.0 * spectral_derivative(values, grid)
-
-
-def _runs(js):
-    """Runs of consecutive values in the increasing list js, as (lo, hi)."""
-    runs = []
-    for j in js:
-        if runs and runs[-1][1] == j:
-            runs[-1][1] = j + 1
-        else:
-            runs.append([j, j + 1])
-    return runs
+    spec = np.fft.rfft(values)
+    return 2.0 * np.fft.irfft(1j * grid.wavenumbers() * spec, n=grid.n)
 
 
 def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
@@ -158,17 +125,17 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
     n_spec = kap.size
     m = n_spec - (grid.n // 2 - grid.n // 3)   # 2/3-rule band [0, m)
     ik = (1j * kap)[:m]
-    n_band = len(_PAIRS) * m
+    n_band = _A_COEF.size * m
 
     # workspaces every step writes in place
     spectra = np.empty((7, n_spec), dtype=complex)   # stage nonlinear terms
-    terms = np.empty((len(_ERR_J), m), dtype=complex)
+    terms = np.empty((7, m), dtype=complex)
     arg = np.empty(n_band + n_spec - m)
     dec = np.empty_like(arg)
-    stage_w = np.empty((len(_PAIRS), m))
-    err_w = np.empty((len(_ERR_J), m))
-    err_w[-1] = _ERR[6]                  # n_6's decay(6, 6) is 1
-    err_coef = _ERR[_ERR_J[:-1]][:, None]
+    stage_w = np.empty((_A_COEF.size, m))
+    err_w = np.empty((7, m))
+    err_w[6] = _ERR[6]                   # n_6's decay(6, 6) is 1
+    err_coef = _ERR[:6, None]
     # error and proposal spectra, used in turn: the state is the proposal
     # last accepted, and no write reaches the error row above the band
     specs = np.zeros((2, 2, n_spec), dtype=complex)
@@ -181,28 +148,18 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
     nk2_band, nk2_tail = nk2[:m], nk2[m:]
     band_arg, band_dec = (v[:n_band].reshape(-1, m) for v in (arg, dec))
     tail_arg, tail_dec = arg[n_band:], dec[n_band:]
-    err_dec, err_w_dec = band_dec[_ERR_ROWS], err_w[:-1]
+    err_dec, err_w_dec = band_dec[-6:], err_w[:6]
     spec_views = [(spec, spec[0, :m], spec[1, :m], spec[1, m:])
                   for spec in specs]
-
-    def products(weights, js, row):
-        # weights[q] n_js[q] into terms[row + q], one product per run of js
-        views, q = [], 0
-        for lo, hi in _runs(js):
-            views.append((weights[q:q + hi - lo], spectra[lo:hi, :m],
-                          terms[row + q:row + q + hi - lo]))
-            q += hi - lo
-        return views
-
+    # stage i: the decay of its lead pair (0, i), the weights and stage
+    # terms of its i pairs, the stack rows 1..i their products fill, the
+    # whole stack, and n_i
     stages = []
-    t = 0
     for i in range(1, 7):
-        k = len(_STAGE_J[i])
-        stages.append((band_dec[t],
-                       products(stage_w[t:t + k], _STAGE_J[i], 1),
-                       terms[:k + 1], spectra[i]))
-        t += k
-    err_products = products(err_w, _ERR_J, 0)
+        t = i * (i - 1) // 2
+        stages.append((band_dec[t], stage_w[t:t + i], spectra[:i, :m],
+                       terms[1:i + 1], terms[:i + 1], spectra[i]))
+    band_spectra = spectra[:, :m]
     lead_term, fsal_in, fsal_out = terms[0], spectra[0], spectra[6]
     err_vals, proposal_vals = vals
     val_grad, (value, grad, prod) = real[:2], real
@@ -267,7 +224,6 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
 
         # physical x at the stage points; differences feed the decay factors
         zs = zeta + _C * h
-        zs[-1] = zeta + h
         xs = np.asarray(profile.x_of_zeta(zs), dtype=float)
 
         # every stage pair on the band, then pair (0, 6) above it.  x is
@@ -282,21 +238,19 @@ def solve(ic: InitialCondition, params: PhysParams, profile: Profile,
         np.multiply(h * _A_COEF, band_dec, out=stage_w)
         np.multiply(err_coef, err_dec, out=err_w_dec)
 
-        # stage i: decay(0, i) state + sum_j h a_ij decay(j, i) n_j, added
-        # in that order by one reduce over the stacked terms; the proposal
-        # band is stage 6's sum
+        # stage i: decay(0, i) state + sum over j < i of h a_ij decay(j, i)
+        # n_j, added in that order by one reduce over the stacked terms;
+        # the proposal band is stage 6's sum
         spec, err_band, band, tail = spec_views[cur]
         _, _, state_band, state_tail = spec_views[1 - cur]
-        for lead, prods, stack, n_out in stages:
+        for lead, w, n_in, rows, stack, n_out in stages:
             np.multiply(lead, state_band, out=lead_term)
-            for w_run, n_run, t_run in prods:
-                np.multiply(w_run, n_run, out=t_run)
+            np.multiply(w, n_in, out=rows)
             np.add.reduce(stack, axis=0, out=band)
             nonlinear(band, n_out)
         np.multiply(tail_dec, state_tail, out=tail)
 
-        for w_run, n_run, t_run in err_products:
-            np.multiply(w_run, n_run, out=t_run)
+        np.multiply(err_w, band_spectra, out=terms)
         np.add.reduce(terms, axis=0, out=err_band)
         np.multiply(err_band, h, out=err_band)
 

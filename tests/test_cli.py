@@ -92,6 +92,12 @@ class TestConfigParsing:
                       ic=InitialCondition.harmonic(),
                       stations=(0.2,), outputs=("q9",))
 
+    @pytest.mark.parametrize("stations", [(math.nan,), (math.inf,),
+                                          (1.0, math.nan)])
+    def test_non_finite_station_rejected(self, stations):
+        with pytest.raises(ConfigError, match="stations must be finite"):
+            RunConfig(params=PhysParams(1.0, 1.0), stations=stations)
+
     def test_empty_station_tuple_rejected(self):
         with pytest.raises(ConfigError, match="stations list is empty"):
             RunConfig(params=PhysParams(1.0, 1.0), stations=())

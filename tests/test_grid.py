@@ -31,15 +31,11 @@ class TestPeriodic:
 
 
 class TestWindowed:
-    def test_window_required(self):
-        with pytest.raises(ConfigError, match="need an explicit window"):
-            TauGrid(16, periodic=False)
-
     @pytest.mark.parametrize("window", [(1.0, 1.0), (1.0, 0.0),
                                         (-math.inf, 0.0), (0.0, math.nan)])
     def test_window_must_be_finite_and_increasing(self, window):
         with pytest.raises(ConfigError, match="bad window"):
-            TauGrid(16, periodic=False, window=window)
+            TauGrid(16, window=window)
 
     def test_at_least_three_samples(self):
         with pytest.raises(ConfigError, match="at least 3 samples"):

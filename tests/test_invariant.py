@@ -134,6 +134,16 @@ class TestInvariantConfig:
         with pytest.raises(ConfigError, match="betas must be finite"):
             InvariantConfig(betas=betas, params=UNIT, c0=-0.1)
 
+    @pytest.mark.parametrize("data", [
+        dict(w0=math.nan, w0_slope=0.0), dict(w0=0.0, w0_slope=math.inf),
+        dict(c0=math.nan), dict(c0=-0.1, c1=math.nan),
+        dict(w0=0.0, w0_slope=1.0, c1=-math.inf)])
+    def test_rejects_non_finite_data(self, data):
+        # a NaN w0 or an infinite w0_slope stalled the factor ODE, a NaN
+        # c0 overflowed the orbit's range and a NaN c1 gave an all-NaN W
+        with pytest.raises(ConfigError, match="must be finite"):
+            InvariantConfig(betas=(1.0, 1.0, 0.0, -1.0), params=UNIT, **data)
+
     def test_either_route_accepted(self):
         InvariantConfig(betas=(1.0, 0.0, 0.0, 1.0), params=UNIT, c0=-0.1)
         InvariantConfig(betas=(1.0, 0.0, 0.0, 1.0), params=UNIT,
@@ -321,13 +331,12 @@ class TestFactorODE:
         # a NaN step compares false against the minimum step, so a stall
         # test written as h < min_step never fires and the reject loop
         # spins; the child process turns such a hang into a failure
+        # (the configs reject NaN data, so the march takes it directly)
         script = ("import math\n"
-                  "from hornwave.invariant import InvariantConfig, "
-                  "integrate_factor_ode\n"
-                  "from hornwave.rg import PhysParams\n"
-                  "cfg = InvariantConfig(betas=(1.0, 1.0, 0.0, -1.0), "
-                  "params=PhysParams(1.0, 1.0), w0=math.nan, w0_slope=0.0)\n"
-                  "integrate_factor_ode(cfg, 1.0)\n")
+                  "import numpy as np\n"
+                  "from hornwave.invariant import _dormand_prince\n"
+                  "_dormand_prince(lambda lam, y: np.array((y[1], -y[0])), "
+                  "np.array((math.nan, 0.0)), 1.0, 1.0 / 256)\n")
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run([sys.executable, "-c", script],
                               env={**os.environ, "PYTHONPATH": str(src)},
@@ -417,6 +426,16 @@ class TestFirstIntegral:
             first_integral_solution(1.0, 1.0, -0.1)
         with pytest.raises(ConfigError):
             first_integral_solution(-1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("m, a, c0, c1, nu", [
+        (math.nan, 1.0, -0.1, 0.0, 1.0), (-1.0, math.nan, -0.1, 0.0, 1.0),
+        (-1.0, math.inf, -0.1, 0.0, 1.0), (-1.0, 1.0, math.nan, 0.0, 1.0),
+        (-1.0, 1.0, -0.1, math.nan, 1.0), (-1.0, 1.0, -0.1, 0.0, math.nan)])
+    def test_rejects_non_finite_inputs(self, m, a, c0, c1, nu):
+        # NaN passes the sign checks: it raised RangeOverflowError, or for
+        # c1 returned an orbit that is NaN everywhere
+        with pytest.raises(ConfigError, match="must be finite"):
+            first_integral_solution(m, a, c0, c1=c1, nu=nu)
 
     def test_overdeep_well_has_no_orbit(self):
         # c0 so negative that the radicand peak never rises above zero

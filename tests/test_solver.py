@@ -27,7 +27,6 @@ from hornwave.solver import (
     SolverResult,
     residual,
     solve,
-    spectral_derivative,
     u_from_q,
 )
 
@@ -173,12 +172,43 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(stations=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("stations", [(math.nan,), (math.inf,),
+                                          (1.0, math.nan)])
+    def test_rejects_non_finite_stations(self, stations):
+        # NaN passes every ordering check, and the duct map then raises a
+        # DomainError, the wrong class
+        with pytest.raises(ConfigError, match="stations must be finite"):
+            SolverConfig(stations=stations)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
         # a NaN tolerance rejects every step until the step collapses, a
         # wrong diagnosis, and an infinite one accepts every step
         with pytest.raises(ConfigError, match="positive and finite"):
             SolverConfig(tol=tol)
+
+
+class TestTableau:
+    """The one Dormand-Prince 5(4) tableau: both marches read it, so a
+    wrong coefficient must fail here on its own."""
+
+    def test_rows_are_strictly_lower_and_sum_to_the_nodes(self):
+        np.testing.assert_array_equal(_A, np.tril(_A, -1))
+        assert np.max(np.abs(_A.sum(axis=1) - _C)) <= 1e-15
+
+    def test_fifth_order_weights_meet_the_order_conditions(self):
+        b, c = _A[6], _C
+        for k in range(5):
+            assert abs(b @ c ** k - 1 / (k + 1)) <= 1e-15
+        for got, want in ((b @ _A @ c, 1 / 6), (b @ (c * (_A @ c)), 1 / 8),
+                          (b @ _A @ c ** 2, 1 / 12),
+                          (b @ _A @ _A @ c, 1 / 24)):
+            assert abs(got - want) <= 1e-15
+
+    def test_error_weights_annihilate_cubics_only(self):
+        for k in range(4):
+            assert abs(_ERR @ _C ** k) <= 1e-15
+        assert abs(_ERR @ _C ** 4) > 1e-4
 
 
 class TestMarch:
@@ -338,11 +368,8 @@ class TestDerivativeHelpers:
         g = TauGrid.periodic_default(64)
         out = u_from_q(np.cos(g.tau), g)
         assert np.max(np.abs(out + 2.0 * np.sin(g.tau))) <= 1e-13
-
-    def test_spectral_derivative(self):
-        g = TauGrid.periodic_default(64)
-        out = spectral_derivative(np.sin(3 * g.tau), g)
-        assert np.max(np.abs(out - 3.0 * np.cos(3 * g.tau))) <= 1e-12
+        out = u_from_q(np.sin(3 * g.tau), g)
+        assert np.max(np.abs(out - 6.0 * np.cos(3 * g.tau))) <= 1e-12
 
 
 class TestResidual:
