@@ -368,6 +368,10 @@ class TestDerivativeHelpers:
         g = TauGrid.periodic_default(64)
         out = u_from_q(np.cos(g.tau), g)
         assert np.max(np.abs(out + 2.0 * np.sin(g.tau))) <= 1e-13
+
+    def test_spectral_derivative(self):
+        # u_from_q is twice the spectral tau-derivative
+        g = TauGrid.periodic_default(64)
         out = u_from_q(np.sin(3 * g.tau), g)
         assert np.max(np.abs(out - 6.0 * np.cos(3 * g.tau))) <= 1e-12
 
